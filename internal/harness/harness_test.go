@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"cyclicwin/internal/core"
+	"cyclicwin/internal/fault"
 	"cyclicwin/internal/sched"
 )
 
@@ -306,4 +310,32 @@ func TestResultChecksum(t *testing.T) {
 		}
 	}
 	_ = fmt.Sprint(want)
+}
+
+// TestRunSpellWithBudgetLeavesNoGoroutines pins teardown through the
+// harness: a spell run stopped by a tiny cycle budget, with its seven
+// threads blocked on streams, mid-call or never started, leaves no
+// guest goroutine behind.
+func TestRunSpellWithBudgetLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, s := range core.Schemes {
+		for _, budget := range []uint64{500, 20_000, 200_000} {
+			_, err := RunSpellWith(SpellOpts{
+				Config: core.Config{Windows: 6},
+				Scheme: s, Policy: sched.FIFO, Behavior: Behaviors[0], Sizes: testSizes,
+				MaxCycles: budget,
+			})
+			var b *fault.BudgetError
+			if !errors.As(err, &b) {
+				t.Fatalf("%v with budget %d returned %v, want *fault.BudgetError", s, budget, err)
+			}
+		}
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("%d goroutines before the runs, %d after: guest goroutines outlived Run", before, n)
+	}
 }

@@ -11,16 +11,27 @@
 // off, leaving the paper's non-preemptive single-core behaviour
 // byte-exact.
 //
-// Guest threads are goroutines, but exactly one of them (or the kernel)
-// runs at any time, handing a single control token back and forth, so
-// execution is fully deterministic.
+// Guest threads are goroutines, and exactly one of them holds the
+// processor at any time, so execution is fully deterministic. There is
+// no scheduler goroutine: the thread that gives the processor up (by
+// blocking, yielding, being preempted or exiting) runs the dispatch
+// step itself and wakes the chosen thread directly, one goroutine
+// switch per dispatch and none when it picks itself again. Run makes
+// the first dispatch and waits for the run to end. A thread's
+// goroutine starts at its first dispatch, and Run returns only after
+// every goroutine it started has finished: when the run ends with
+// threads unfinished, Run resumes each one to unwind its body (its
+// deferred calls run, but Block and Yield no longer return), leaving
+// its windows and state as the run left them.
 //
 // Failure model: guest-triggerable conditions never panic the kernel.
 // A thread may Fail with a structured error (the ISA layer raises
 // fault.GuestFault values this way), a stuck program produces a
 // fault.DeadlockError naming every thread and registered resource, and
 // the optional cycle budget turns runaway guests into a
-// fault.BudgetError; all three surface as the error of Run.
+// fault.BudgetError; all three surface as the error of Run. A panic
+// in the window manager during a dispatch is not a guest fault: Run
+// re-raises it on its caller's goroutine.
 package sched
 
 import (
@@ -84,7 +95,7 @@ type State int
 const (
 	// Ready means the thread is in the ready queue.
 	Ready State = iota
-	// Running means the thread holds the control token.
+	// Running means the thread holds the processor.
 	Running
 	// Blocked means the thread waits on a condition (stream space/data).
 	Blocked
@@ -118,10 +129,16 @@ type TCB struct {
 	name string
 	body func(*Env)
 
-	state  State
+	state State
+	env   *Env
+	err   error // terminal error when state is Failed
+
+	// resume hands the thread the processor. It is made when the
+	// thread's goroutine starts, at its first dispatch, and cleared when
+	// that goroutine finishes, so it is non-nil exactly while the
+	// goroutine lives. Its one-slot buffer lets the sender go on to park
+	// without waiting for the thread to reach its receive.
 	resume chan struct{}
-	env    *Env
-	err    error // terminal error when state is Failed
 
 	// joiners are threads blocked in Join on this one.
 	joiners []*TCB
@@ -195,7 +212,10 @@ type diag struct {
 
 // Kernel is the scheduler: non-preemptive FIFO/WorkingSet as in the
 // paper, optionally preemptive (SetQuantum, the Priority policy) and
-// multi-core (NewMultiKernel) for T3-scale configurations.
+// multi-core (NewMultiKernel) for T3-scale configurations. Its
+// dispatch state (ready queue, current thread, per-core last thread)
+// is written by whichever goroutine holds the processor; the handoff
+// channels order those writes, so the kernel needs no lock.
 type Kernel struct {
 	// cores are the window managers, one per modelled core; mgr is the
 	// manager of the core the current thread runs on (cores[0] between
@@ -215,9 +235,14 @@ type Kernel struct {
 	threads []*TCB
 	ready   readyQueue
 	current *TCB
-	yield   chan struct{}
 	nextID  int
 	running bool
+
+	// done carries the end of the run to Run, and each stopped thread's
+	// acknowledgement after it; stopping is set while Run stops the
+	// unfinished threads.
+	done     chan *runEnd
+	stopping bool
 
 	// migrateEvery, when non-zero on a multi-core kernel, migrates a
 	// thread to the next core on every migrateEvery-th dispatch of that
@@ -225,7 +250,8 @@ type Kernel struct {
 	// 1/migrateEvery.
 	migrateEvery int
 
-	// err is the first thread failure; Run aborts with it.
+	// err is the first thread failure, or the error (or panic) a run
+	// ended with; the next dispatch ends the run with it.
 	err error
 	// maxCycles, when non-zero, is the watchdog ceiling on the
 	// simulated clock (SetMaxCycles).
@@ -274,7 +300,7 @@ func NewMultiKernel(mgrs []core.Manager, policy Policy) *Kernel {
 		lastOnCore: make([]*TCB, len(mgrs)),
 		cyc:        cyc,
 		policy:     policy,
-		yield:      make(chan struct{}),
+		done:       make(chan *runEnd),
 	}
 }
 
@@ -361,7 +387,8 @@ func (k *Kernel) SetChaos(inj *fault.Injector) {
 
 // Spawn creates a guest thread. Threads spawned before Run start in
 // spawn order; threads spawned by running guests are enqueued at the
-// back of the ready queue.
+// back of the ready queue. The thread's goroutine starts at its first
+// dispatch.
 func (k *Kernel) Spawn(name string, body func(*Env)) *TCB {
 	coreIdx := k.nextID % len(k.cores)
 	t := &TCB{
@@ -370,43 +397,52 @@ func (k *Kernel) Spawn(name string, body func(*Env)) *TCB {
 		name:    name,
 		body:    body,
 		state:   Ready,
-		resume:  make(chan struct{}),
 	}
 	k.nextID++
 	t.env = &Env{k: k, tcb: t}
 	k.threads = append(k.threads, t)
 	k.ready.pushBack(k.level(t), t)
-	go func() {
-		<-t.resume
-		err := runBody(t)
-		if err != nil {
-			t.state = Failed
-			t.err = err
-			if k.err == nil {
-				k.err = err
-			}
-			// Release the thread's windows even if the fault unwound a
-			// half-finished call chain; a secondary panic in the manager
-			// must not mask the original fault.
-			func() {
-				defer func() { _ = recover() }()
-				k.mgr.Exit()
-			}()
-		} else {
-			// The body returned: terminate the thread while it is still
-			// the manager's running thread.
-			k.mgr.Exit()
-			t.state = Done
-		}
-		for _, j := range t.joiners {
-			k.Wake(j)
-		}
-		t.joiners = nil
-		k.current = nil
-		k.lastOnCore[t.coreIdx] = nil
-		k.yield <- struct{}{}
-	}()
 	return t
+}
+
+// threadMain is the goroutine of thread t, started by its first
+// dispatch: it runs the body, retires the thread and hands the
+// processor on.
+func (k *Kernel) threadMain(t *TCB) {
+	err := runBody(t)
+	if k.stopping {
+		// Run stopped the kernel and t has unwound: acknowledge, leaving
+		// its windows and state as the run left them.
+		k.done <- nil
+		return
+	}
+	if err != nil {
+		t.state = Failed
+		t.err = err
+		if k.err == nil {
+			k.err = err
+		}
+		// Release the thread's windows even if the fault unwound a
+		// half-finished call chain; a secondary panic in the manager
+		// must not mask the original fault.
+		func() {
+			defer func() { _ = recover() }()
+			k.mgr.Exit()
+		}()
+	} else {
+		// The body returned: terminate the thread while it is still
+		// the manager's running thread.
+		k.mgr.Exit()
+		t.state = Done
+	}
+	for _, j := range t.joiners {
+		k.Wake(j)
+	}
+	t.joiners = nil
+	t.resume = nil
+	k.current = nil
+	k.lastOnCore[t.coreIdx] = nil
+	k.handOff(nil)
 }
 
 // level returns the ready-queue bucket for t: its priority under the
@@ -422,27 +458,50 @@ func (k *Kernel) level(t *TCB) int {
 // with; runBody turns it back into the carried error.
 type threadFail struct{ err error }
 
+// stopThread is the panic sentinel a thread stopped by Run unwinds its
+// body with; runBody swallows it.
+type stopThread struct{}
+
 // runBody executes the thread body, converting Env.Fail and any guest
 // panic into an error instead of killing the process.
 func runBody(t *TCB) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if tf, ok := r.(threadFail); ok {
-				err = tf.err
-				return
+			switch r := r.(type) {
+			case threadFail:
+				err = r.err
+			case stopThread:
+			default:
+				err = fmt.Errorf("sched: %s panicked: %v\n%s", t.name, r, debug.Stack())
 			}
-			err = fmt.Errorf("sched: %s panicked: %v\n%s", t.name, r, debug.Stack())
 		}
 	}()
 	t.body(t.env)
 	return nil
 }
 
+// runEnd is how a run ended: err is Run's result, and val, when
+// non-nil, a panic raised during a dispatch, which Run re-raises.
+type runEnd struct {
+	err error
+	val any
+}
+
 // Run dispatches threads until all are done. It returns nil on clean
 // completion, the failing thread's error (see Env.Fail), a
 // *fault.DeadlockError when blocked threads remain with an empty ready
 // queue, or a *fault.BudgetError when the cycle budget (SetMaxCycles)
-// is exceeded.
+// is exceeded. A panic raised by the window manager during a dispatch
+// is re-raised, with the same value, on the goroutine that called Run.
+//
+// Run makes the first dispatch; from then on each thread dispatches
+// its successor when it gives the processor up, and Run waits for the
+// run to end. On every end — clean, failed, deadlocked, over budget or
+// panicked — Run returns only after every guest goroutine has
+// finished: it resumes each unfinished thread to unwind its body (a
+// thread stopped this way keeps its state and windows) and waits for
+// each in turn. A run that ended with an error or a panic leaves the
+// kernel stopped: a later Run returns that error without dispatching.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("sched: Run called re-entrantly")
@@ -454,41 +513,119 @@ func (k *Kernel) Run() error {
 	// first dispatch honours them (mid-run changes take effect at the
 	// thread's next enqueue, or lazily via pop's stale-bucket re-file).
 	k.refileReady()
-	for {
-		if k.err != nil {
-			return k.err
+	next, end := k.dispatch()
+	if end == nil {
+		k.resumeThread(next)
+		end = <-k.done
+	}
+	k.stop()
+	if end.val != nil {
+		k.err = fmt.Errorf("sched: run stopped by a panic during dispatch: %v", end.val)
+		panic(end.val)
+	}
+	k.err = end.err
+	return end.err
+}
+
+// stop resumes every thread whose goroutine still lives with the
+// stopping flag set, and waits for each to unwind and acknowledge.
+func (k *Kernel) stop() {
+	k.stopping = true
+	for _, t := range k.threads {
+		if t.resume != nil {
+			t.resume <- struct{}{}
+			<-k.done
+			t.resume = nil
 		}
-		if k.maxCycles != 0 && k.cyc.Total() > k.maxCycles {
-			return k.budgetError()
+	}
+	k.stopping = false
+}
+
+// dispatch is the scheduling step, run by the goroutine that gives the
+// processor up (Run's, for the first dispatch). It picks the next
+// thread, switches its core's windows to it and makes it current; or,
+// when the run is over, it returns how it ended instead. A panic in
+// the step (from the window manager, say) ends the run too.
+func (k *Kernel) dispatch() (t *TCB, end *runEnd) {
+	defer func() {
+		if r := recover(); r != nil {
+			t, end = nil, &runEnd{val: r}
 		}
-		t := k.pop()
-		if t == nil {
-			for _, th := range k.threads {
-				if th.state == Blocked {
-					return k.deadlockError()
-				}
+	}()
+	if k.err != nil {
+		return nil, &runEnd{err: k.err}
+	}
+	if k.maxCycles != 0 && k.cyc.Total() > k.maxCycles {
+		return nil, &runEnd{err: k.budgetError()}
+	}
+	t = k.pop()
+	if t == nil {
+		for _, th := range k.threads {
+			if th.state == Blocked {
+				return nil, &runEnd{err: k.deadlockError()}
 			}
-			return nil // all done
 		}
-		migrated := k.placeThread(t)
-		mgr := k.cores[t.coreIdx]
-		if t != k.current || migrated {
-			// The switch type is governed by the thread this core last
-			// ran (still resident in its manager), not by the globally
-			// previous thread, which may live on another core.
-			if out := k.lastOnCore[t.coreIdx]; out != nil && out.flushOnSwitch {
-				mgr.SwitchFlush(t.Core)
-			} else {
-				mgr.Switch(t.Core)
-			}
+		return nil, &runEnd{} // all done
+	}
+	migrated := k.placeThread(t)
+	mgr := k.cores[t.coreIdx]
+	if t != k.current || migrated {
+		// The switch type is governed by the thread this core last
+		// ran (still resident in its manager), not by the globally
+		// previous thread, which may live on another core.
+		if out := k.lastOnCore[t.coreIdx]; out != nil && out.flushOnSwitch {
+			mgr.SwitchFlush(t.Core)
+		} else {
+			mgr.Switch(t.Core)
 		}
-		k.lastOnCore[t.coreIdx] = t
-		k.mgr = mgr
-		k.current = t
-		t.state = Running
-		k.dispatched = k.cyc.Total()
+	}
+	k.lastOnCore[t.coreIdx] = t
+	k.mgr = mgr
+	k.current = t
+	t.state = Running
+	k.dispatched = k.cyc.Total()
+	return t, nil
+}
+
+// handOff gives up the processor held by the calling goroutine, whose
+// thread self (nil once the thread has exited) is already re-queued,
+// blocked or retired: it dispatches and wakes the next thread, or
+// hands the end of the run to Run. It reports whether self was picked
+// again, in which case self carries on without a goroutine switch.
+func (k *Kernel) handOff(self *TCB) bool {
+	next, end := k.dispatch()
+	switch {
+	case end != nil:
+		k.done <- end
+	case next == self:
+		return true
+	default:
+		k.resumeThread(next)
+	}
+	return false
+}
+
+// resumeThread passes the processor to t, starting t's goroutine on its
+// first dispatch.
+func (k *Kernel) resumeThread(t *TCB) {
+	if t.resume != nil {
 		t.resume <- struct{}{}
-		<-k.yield
+		return
+	}
+	t.resume = make(chan struct{}, 1)
+	go k.threadMain(t)
+}
+
+// suspend gives the processor up on behalf of the running thread t,
+// already re-queued or blocked, and returns once t is dispatched
+// again; if Run stops the kernel instead, t unwinds.
+func (k *Kernel) suspend(t *TCB) {
+	if k.handOff(t) {
+		return
+	}
+	<-t.resume
+	if k.stopping {
+		panic(stopThread{})
 	}
 }
 
@@ -610,22 +747,26 @@ func (k *Kernel) Wake(t *TCB) {
 func (k *Kernel) ReadyLen() int { return k.ready.len() }
 
 // blockCurrent suspends the running thread (caller must be the guest
-// goroutine holding the token) until somebody wakes it.
+// goroutine holding the processor) until somebody wakes it.
 func (k *Kernel) blockCurrent() {
+	if k.stopping {
+		panic(stopThread{})
+	}
 	t := k.current
 	t.state = Blocked
-	k.yield <- struct{}{}
-	<-t.resume
+	k.suspend(t)
 }
 
 // yieldCurrent re-enqueues the running thread at the back (of its
 // priority level) and lets the scheduler pick the next one.
 func (k *Kernel) yieldCurrent() {
+	if k.stopping {
+		panic(stopThread{})
+	}
 	t := k.current
 	t.state = Ready
 	k.ready.pushBack(k.level(t), t)
-	k.yield <- struct{}{}
-	<-t.resume
+	k.suspend(t)
 }
 
 // SetQuantum enables preemptive time-slicing with the given quantum in

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -235,6 +236,36 @@ func TestGuestFaultSentinel(t *testing.T) {
 	}
 	if got := statusCodeOf(err); got != http.StatusUnprocessableEntity {
 		t.Errorf("statusCodeOf(guest fault) = %d, want 422", got)
+	}
+}
+
+// TestPoolBudgetJobLeavesNoGoroutines pins that an over-budget cell —
+// every winsimd 422 of this class — releases its simulation: once the
+// job has failed, the goroutine count is back to what the idle pool
+// had before the submission.
+func TestPoolBudgetJobLeavesNoGoroutines(t *testing.T) {
+	p := testPool(t, PoolConfig{Workers: 1})
+	before := runtime.NumGoroutine()
+	for _, budget := range []uint64{1_000, 10_000, 100_000} {
+		spec := cellSpec()
+		spec.MaxCycles = budget
+		j, err := p.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		_, err = j.Wait(ctx)
+		cancel()
+		if !errors.Is(err, ErrGuestFault) {
+			t.Fatalf("budget-exceeded cell returned %v, want ErrGuestFault", err)
+		}
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("%d goroutines before the jobs, %d after: the failed simulations outlived their jobs", before, n)
 	}
 }
 
