@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"cyclicwin"
-	"cyclicwin/internal/isa"
 )
 
 func main() {
@@ -26,17 +25,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print window statistics")
 	traceN := flag.Int("trace", 0, "print the last N window-management events")
 	limit := flag.Uint64("limit", 100_000_000, "instruction limit (0 = none)")
-	tierFlag := flag.String("tier", "", "interpreter tier: block, fast or slow (default block)")
 	flag.Parse()
-
-	if *tierFlag != "" {
-		t, err := isa.ParseTier(*tierFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asmrun: %v\n", err)
-			os.Exit(2)
-		}
-		isa.SetDefaultTier(t)
-	}
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: asmrun [flags] prog.s")

@@ -37,7 +37,6 @@ import (
 	"cyclicwin/internal/core"
 	"cyclicwin/internal/fault"
 	"cyclicwin/internal/harness"
-	"cyclicwin/internal/isa"
 	"cyclicwin/internal/netfault"
 	"cyclicwin/internal/obs"
 	"cyclicwin/internal/regwin"
@@ -65,7 +64,6 @@ func main() {
 	checkRuns := flag.Int("checkruns", 8, "with -check: seeded random sequences per configuration variant")
 	checkLen := flag.Int("checklen", 400, "with -check: length of each random sequence")
 	checkSeed := flag.Uint64("checkseed", 1, "with -check: base seed for the random sequences")
-	tierFlag := flag.String("tier", "", "interpreter tier for guest machine code run in-process: block, fast or slow (default block)")
 	netfaultSpec := flag.String("netfault", "", "with -cluster: inject seeded network faults into outbound requests, e.g. \"seed=42,drop=0.1,delay=30ms:0.25,corrupt=0.05\" (empty = off)")
 	budget := flag.Duration("budget", 0, "with -cluster: per-sweep routing deadline; cells past it skip the network and run inline (0 = none)")
 	leakCheck := flag.Bool("leakcheck", false, "verify at exit that no goroutines outlive the run (chaos-harness assertion)")
@@ -94,15 +92,6 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "winsim: leakcheck: clean (%d goroutines)\n", n)
 		}()
-	}
-
-	if *tierFlag != "" {
-		t, err := isa.ParseTier(*tierFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
-			os.Exit(2)
-		}
-		isa.SetDefaultTier(t)
 	}
 
 	if *checkRun {

@@ -3,15 +3,14 @@
 // configurable request rate and concurrency with named workload mixes,
 // measures submit-to-answer latency through stats.Distribution,
 // asserts SLOs (p99 ceiling, sustained rate, zero dropped metric
-// events) and writes a BENCH_serve.json trajectory CI can track.
+// events) and writes a JSON trajectory (-out) CI can track.
 //
 // Usage:
 //
 //	winsimbench [-url http://host:8091] [-mix hot|cold|traced|faulty|mixed]
 //	            [-rps 500] [-concurrency 32] [-duration 5s] [-scrapers 2]
-//	            [-metrics sharded|locked] [-coalesce] [-workers N]
-//	            [-slo-p99 50ms] [-findmax] [-rampfactor 1.6] [-maxrps 100000]
-//	            [-ab] [-out BENCH_serve.json]
+//	            [-workers N] [-slo-p99 50ms] [-findmax] [-rampfactor 1.6]
+//	            [-maxrps 100000] [-out FILE]
 //
 // Modes:
 //
@@ -19,18 +18,10 @@
 //     -duration; exit 1 on SLO breach or dropped metric events.
 //   - -findmax: ramp the rate by -rampfactor per step until the SLO
 //     breaks; report the highest SLO-compliant rate.
-//   - -ab: in-process only; run the -findmax ramp twice — first the
-//     pre-change serving path (single-mutex metrics recorder,
-//     coalescing off), then the sharded wait-free path — and write
-//     both trajectories side by side. This is the experiment behind
-//     the "sharded sustains strictly higher max-SLO-compliant RPS"
-//     acceptance check.
 //
 // The scrapers are the adversarial load: each one hammers the metrics
-// snapshot and the Prometheus render in a loop, which on the legacy
-// recorder holds the job-accounting mutex through a full
-// quantile/mean render — exactly the contention this benchmark
-// exists to expose. Every scrape also checks the conservation
+// snapshot and the Prometheus render in a loop while the jobs publish
+// their lifecycle events. Every scrape also checks the conservation
 // invariant (accepted == queued+running+terminal); a violation counts
 // as a dropped metric event and fails the run.
 package main
@@ -156,23 +147,20 @@ func conserved(m simsvc.MetricsSnapshot) bool {
 	return m.JobsAccepted == m.JobsQueued+m.JobsRunning+m.JobsDone+m.JobsFailed+m.JobsCanceled
 }
 
-// inprocEngine drives a pool directly; the pre/post-change serving
-// paths are selected by PoolConfig.LegacyMetrics and Cache.SetCoalesce.
+// inprocEngine drives a pool directly.
 type inprocEngine struct {
 	pool *simsvc.Pool
 }
 
-func newInprocEngine(workers, maxQueue int, legacy, coalesce bool) *inprocEngine {
+func newInprocEngine(workers, maxQueue int) *inprocEngine {
 	cache, err := simsvc.NewCache(0, "")
 	if err != nil {
 		log.Fatalf("winsimbench: %v", err)
 	}
-	cache.SetCoalesce(coalesce)
 	pool := simsvc.NewPool(simsvc.PoolConfig{
-		Workers:       workers,
-		MaxQueue:      maxQueue,
-		LegacyMetrics: legacy,
-		Cache:         cache,
+		Workers:  workers,
+		MaxQueue: maxQueue,
+		Cache:    cache,
 	})
 	return &inprocEngine{pool: pool}
 }
@@ -452,11 +440,9 @@ func findMax(eng engine, mix string, startRPS, rampFactor, maxRPS float64, concu
 	return steps, maxOK
 }
 
-// benchRun is one serving-path configuration's full trajectory.
+// benchRun is one configuration's full trajectory.
 type benchRun struct {
 	Name            string      `json:"name"`
-	Metrics         string      `json:"metrics"`  // sharded | locked
-	Coalesce        bool        `json:"coalesce"` // cache singleflight on?
 	Workers         int         `json:"workers"`
 	Concurrency     int         `json:"concurrency"`
 	Scrapers        int         `json:"scrapers"`
@@ -470,7 +456,6 @@ type benchFile struct {
 	Host          string     `json:"host,omitempty"`
 	SLOP99MS      float64    `json:"slo_p99_ms"`
 	Runs          []benchRun `json:"runs"`
-	Comparison    string     `json:"comparison,omitempty"`
 }
 
 func main() {
@@ -482,90 +467,53 @@ func main() {
 	scrapers := flag.Int("scrapers", 2, "concurrent /metrics scrape goroutines (the adversarial load)")
 	workers := flag.Int("workers", 0, "in-process pool workers (0 = GOMAXPROCS)")
 	maxQueue := flag.Int("maxqueue", 4096, "in-process pool queue bound")
-	metricsMode := flag.String("metrics", "sharded", "in-process metrics recorder: sharded or locked")
-	coalesce := flag.Bool("coalesce", true, "in-process cache miss coalescing")
 	sloP99 := flag.Duration("slo-p99", 250*time.Millisecond, "p99 latency SLO (0 = none)")
 	minAchieve := flag.Float64("slo-achieve", 0.95, "fraction of the target rate that must be achieved")
 	findmax := flag.Bool("findmax", false, "ramp the rate until the SLO breaks; report the max compliant rate")
 	rampFactor := flag.Float64("rampfactor", 1.6, "findmax rate multiplier per step")
 	maxRPS := flag.Float64("maxrps", 200000, "findmax rate ceiling")
 	stepDur := flag.Duration("stepdur", 3*time.Second, "findmax per-step window")
-	ab := flag.Bool("ab", false, "in-process A/B: findmax on the locked baseline, then on the sharded path")
-	out := flag.String("out", "", "write the BENCH_serve.json trajectory here")
+	out := flag.String("out", "", "write the JSON trajectory here (default stdout)")
 	flag.Parse()
 
-	if *metricsMode != "sharded" && *metricsMode != "locked" {
-		log.Fatalf("winsimbench: -metrics %q (want sharded or locked)", *metricsMode)
-	}
 	slo := sloConfig{p99: *sloP99, minachieve: *minAchieve}
 	file := benchFile{
 		GeneratedUnix: time.Now().Unix(),
 		SLOP99MS:      float64(sloP99.Microseconds()) / 1e3,
 	}
 
-	newEngine := func(legacy, coal bool) engine {
-		if *url != "" {
-			return newHTTPEngine(*url)
-		}
-		return newInprocEngine(*workers, *maxQueue, legacy, coal)
-	}
-
-	runOne := func(name string, legacy, coal bool) benchRun {
-		eng := newEngine(legacy, coal)
-		defer eng.close()
-		var seq uint64
-		// Warm the hot set so the measured window exercises the cache-hit
-		// path instead of the first cold fill.
-		if *mix == "hot" || *mix == "mixed" {
-			eng.submit(context.Background(), specFor("hot", 0))
-		}
-		mode := "sharded"
-		if legacy {
-			mode = "locked"
-		}
-		run := benchRun{Name: name, Metrics: mode, Coalesce: coal,
-			Workers: *workers, Concurrency: *concurrency, Scrapers: *scrapers}
-		if *findmax || *ab {
-			run.Steps, run.MaxCompliantRPS = findMax(eng, *mix, *rps, *rampFactor, *maxRPS, *concurrency, *scrapers, *stepDur, slo, &seq)
-		} else {
-			step := driveOnce(eng, *mix, *rps, *concurrency, *scrapers, *duration, slo, &seq)
-			run.Steps = []runResult{step}
-			if step.SLOOK {
-				run.MaxCompliantRPS = step.TargetRPS
-			}
-		}
-		return run
-	}
-
-	exitCode := 0
-	if *ab {
-		if *url != "" {
-			log.Fatal("winsimbench: -ab measures both serving paths in-process; drop -url")
-		}
-		file.Host = "in-process"
-		locked := runOne("locked-baseline", true, false)
-		sharded := runOne("sharded-coalesced", false, true)
-		file.Runs = []benchRun{locked, sharded}
-		file.Comparison = fmt.Sprintf("sharded-coalesced sustains %.0f rps vs locked-baseline %.0f rps within SLO (%.2fx)",
-			sharded.MaxCompliantRPS, locked.MaxCompliantRPS, ratio(sharded.MaxCompliantRPS, locked.MaxCompliantRPS))
-		log.Printf("winsimbench: %s", file.Comparison)
+	var eng engine
+	if *url != "" {
+		eng, file.Host = newHTTPEngine(*url), *url
 	} else {
-		file.Host = *url
-		if *url == "" {
-			file.Host = "in-process"
-		}
-		run := runOne("run", *metricsMode == "locked", *coalesce)
-		file.Runs = []benchRun{run}
-		last := run.Steps[len(run.Steps)-1]
-		if !*findmax && !last.SLOOK {
-			log.Printf("winsimbench: SLO BREACH: %s", last.SLOReason)
-			exitCode = 1
-		}
-		if *findmax && run.MaxCompliantRPS == 0 {
+		eng, file.Host = newInprocEngine(*workers, *maxQueue), "in-process"
+	}
+	var seq uint64
+	// Warm the hot set so the measured window exercises the cache-hit
+	// path instead of the first cold fill.
+	if *mix == "hot" || *mix == "mixed" {
+		eng.submit(context.Background(), specFor("hot", 0))
+	}
+	run := benchRun{Name: "run", Workers: *workers, Concurrency: *concurrency, Scrapers: *scrapers}
+	exitCode := 0
+	if *findmax {
+		run.Steps, run.MaxCompliantRPS = findMax(eng, *mix, *rps, *rampFactor, *maxRPS, *concurrency, *scrapers, *stepDur, slo, &seq)
+		if run.MaxCompliantRPS == 0 {
 			log.Printf("winsimbench: no rate satisfied the SLO")
 			exitCode = 1
 		}
+	} else {
+		step := driveOnce(eng, *mix, *rps, *concurrency, *scrapers, *duration, slo, &seq)
+		run.Steps = []runResult{step}
+		if step.SLOOK {
+			run.MaxCompliantRPS = step.TargetRPS
+		} else {
+			log.Printf("winsimbench: SLO BREACH: %s", step.SLOReason)
+			exitCode = 1
+		}
 	}
+	eng.close()
+	file.Runs = []benchRun{run}
 
 	if *out != "" {
 		data, err := json.MarshalIndent(file, "", "  ")
@@ -583,11 +531,4 @@ func main() {
 		_ = enc.Encode(file)
 	}
 	os.Exit(exitCode)
-}
-
-func ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"cyclicwin/internal/cluster"
-	"cyclicwin/internal/isa"
 	"cyclicwin/internal/netfault"
 	"cyclicwin/internal/simsvc"
 )
@@ -83,26 +82,15 @@ func main() {
 	maxQueue := flag.Int("maxqueue", 256, "queued-job bound; submissions beyond it get 429 (0 = unbounded)")
 	clientQueue := flag.Int("clientqueue", 0, "per-client queued-job share, keyed by the X-Client-ID header; over-share submissions get 429 (0 = off)")
 	maxQueueCost := flag.Uint64("maxqueuecost", 0, "summed cost-estimate bound over the queue (threads x windows x text length); jobs whose estimate would exceed it get 429 (0 = off)")
-	legacyMetrics := flag.Bool("legacymetrics", false, "use the pre-sharding single-mutex metrics recorder (benchmark baseline only)")
-	noCoalesce := flag.Bool("nocoalesce", false, "disable per-key coalescing of concurrent cache misses (benchmark baseline only)")
 	reqTimeout := flag.Duration("reqtimeout", 2*time.Minute, "per-request deadline, including ?wait=1 blocking (0 = none)")
 	drainFor := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 	enablePprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	nodeURL := flag.String("node", "", "advertised URL of this node (default derived from -addr)")
 	peers := flag.String("peers", "", "comma-separated URLs of the other cluster members")
 	join := flag.String("join", "", "URL of a running member to announce this node to")
-	tierFlag := flag.String("tier", "", "interpreter tier for guest machine code run in-process: block, fast or slow (default block)")
 	netfaultSpec := flag.String("netfault", "", "inject seeded network faults into this node's outbound requests, e.g. \"seed=42,drop=0.1,delay=30ms:0.25,corrupt=0.05\" (empty = off)")
 	sweepBudget := flag.Duration("sweepbudget", 0, "per-sweep routing deadline for distributed experiments; expired cells run inline (0 = none)")
 	flag.Parse()
-
-	if *tierFlag != "" {
-		t, err := isa.ParseTier(*tierFlag)
-		if err != nil {
-			log.Fatalf("winsimd: %v", err)
-		}
-		isa.SetDefaultTier(t)
-	}
 
 	cache, err := simsvc.NewCache(*cacheSize, *cacheDir)
 	if err != nil {
@@ -130,16 +118,12 @@ func main() {
 
 	clustered := *peers != "" || *join != ""
 	var coord *cluster.Coordinator
-	if *noCoalesce {
-		cache.SetCoalesce(false)
-	}
 	poolCfg := simsvc.PoolConfig{
 		Workers:        *workers,
 		JobTimeout:     *timeout,
 		MaxQueue:       *maxQueue,
 		PerClientQueue: *clientQueue,
 		MaxQueueCost:   *maxQueueCost,
-		LegacyMetrics:  *legacyMetrics,
 		Cache:          cache,
 	}
 	if clustered {

@@ -12,11 +12,7 @@ import "cyclicwin/internal/regwin"
 // Save, Restore, Switch, SwitchFlush or Exit (trap handlers run inside
 // those). Holders must re-fetch it after any such call. The pointers
 // themselves never dangle (the file's arrays are allocated once), but a
-// stale FastWindow addresses the wrong window. The block translation
-// tier (internal/isa/blocks.go) leans on that allocated-once guarantee:
-// translated blocks bake these pointers in per (entry PC, CWP) and
-// replay them for the life of the register file, so the pointers must
-// keep designating the same physical window slots forever.
+// stale FastWindow addresses the wrong window.
 //
 // Register 0 (%g0) is special-cased by convention, not by the pointers:
 // Globals[0] is never written through the managers and always holds

@@ -1,11 +1,10 @@
 package isa_test
 
-// Interpreter microbenchmarks comparing the three tiers on the same
-// programs: block (translated basic blocks over the fast core), fast
-// (predecoded instruction cache, devirtualized window access, batched
-// cycle accounting), and slow (the reference Step path — the original
-// interpreter). block/fast and fast/slow are the per-PR speedups
-// recorded in BENCH_interp.json.
+// Interpreter microbenchmarks comparing the two paths on the same
+// programs: fast (predecoded instruction cache, devirtualized window
+// access, batched cycle accounting) and slow (the reference Step path —
+// the original interpreter). fast/slow is the speedup recorded in
+// BENCH_interp.json.
 
 import (
 	"testing"
@@ -76,13 +75,13 @@ hloop:
 `
 
 // benchProgram runs src once per iteration on a fresh machine with the
-// chosen interpreter tier; allocation cost is identical on all sides,
-// so the block/fast/slow ratios isolate the interpreter core. The
+// chosen interpreter path; allocation cost is identical on both sides,
+// so the fast/slow ratio isolates the interpreter core. The
 // runtime invariant audit — armed by TestMain for every test in this
 // binary, but off in production runs — is disabled for the measurement:
 // it re-verifies the whole window file inside every save and restore,
 // which would swamp the call-heavy workloads with debug-only cost.
-func benchProgram(b *testing.B, src string, windows int, tier isa.Tier) {
+func benchProgram(b *testing.B, src string, windows int, fast bool) {
 	audit := core.InvariantChecksEnabled()
 	core.SetInvariantChecks(false)
 	defer core.SetInvariantChecks(audit)
@@ -90,7 +89,7 @@ func benchProgram(b *testing.B, src string, windows int, tier isa.Tier) {
 	var steps uint64
 	for i := 0; i < b.N; i++ {
 		m := isa.NewMachine(core.SchemeSP, windows)
-		m.Tier = tier
+		m.SlowPath = !fast
 		p.Load(m.Mem)
 		// Seed the text area the spell kernel hashes.
 		for a := uint32(0x5000); a < 0x5000+400*8; a++ {
@@ -109,17 +108,15 @@ func benchProgram(b *testing.B, src string, windows int, tier isa.Tier) {
 // BenchmarkCPUStep measures the raw fetch/decode/execute round trip on
 // a tight arithmetic loop.
 func BenchmarkCPUStep(b *testing.B) {
-	b.Run("block", func(b *testing.B) { benchProgram(b, stepLoopSrc, 8, isa.TierBlock) })
-	b.Run("fast", func(b *testing.B) { benchProgram(b, stepLoopSrc, 8, isa.TierFast) })
-	b.Run("slow", func(b *testing.B) { benchProgram(b, stepLoopSrc, 8, isa.TierSlow) })
+	b.Run("fast", func(b *testing.B) { benchProgram(b, stepLoopSrc, 8, true) })
+	b.Run("slow", func(b *testing.B) { benchProgram(b, stepLoopSrc, 8, false) })
 }
 
 // BenchmarkSpellWorkload measures the spell-checker-like kernel — the
 // headline before/after number for the fast interpreter core.
 func BenchmarkSpellWorkload(b *testing.B) {
-	b.Run("block", func(b *testing.B) { benchProgram(b, spellSrc, 8, isa.TierBlock) })
-	b.Run("fast", func(b *testing.B) { benchProgram(b, spellSrc, 8, isa.TierFast) })
-	b.Run("slow", func(b *testing.B) { benchProgram(b, spellSrc, 8, isa.TierSlow) })
+	b.Run("fast", func(b *testing.B) { benchProgram(b, spellSrc, 8, true) })
+	b.Run("slow", func(b *testing.B) { benchProgram(b, spellSrc, 8, false) })
 }
 
 // storeFarSrc hammers stores at a data page far from the cached text;
@@ -156,19 +153,18 @@ loop:
 `
 
 // BenchmarkPredecodeInvalidation measures the store watcher on the fast
-// (predecode) tier: "reject" is the common case of stores nowhere near
+// (predecode) path: "reject" is the common case of stores nowhere near
 // text, "textpage" the worst case of stores landing in a cached text
 // page without touching the running code.
 func BenchmarkPredecodeInvalidation(b *testing.B) {
-	b.Run("reject", func(b *testing.B) { benchProgram(b, storeFarSrc, 8, isa.TierFast) })
-	b.Run("textpage", func(b *testing.B) { benchProgram(b, storeTextPageSrc, 8, isa.TierFast) })
+	b.Run("reject", func(b *testing.B) { benchProgram(b, storeFarSrc, 8, true) })
+	b.Run("textpage", func(b *testing.B) { benchProgram(b, storeTextPageSrc, 8, true) })
 }
 
 // BenchmarkSpellWorkloadSmallFile repeats the spell kernel on a 4-window
 // file, where every hash call overflows and every return underflows, so
 // the manager slow path (window traps) stays in the profile.
 func BenchmarkSpellWorkloadSmallFile(b *testing.B) {
-	b.Run("block", func(b *testing.B) { benchProgram(b, spellSrc, 4, isa.TierBlock) })
-	b.Run("fast", func(b *testing.B) { benchProgram(b, spellSrc, 4, isa.TierFast) })
-	b.Run("slow", func(b *testing.B) { benchProgram(b, spellSrc, 4, isa.TierSlow) })
+	b.Run("fast", func(b *testing.B) { benchProgram(b, spellSrc, 4, true) })
+	b.Run("slow", func(b *testing.B) { benchProgram(b, spellSrc, 4, false) })
 }

@@ -9,7 +9,6 @@ import (
 	"cyclicwin/internal/fault"
 	"cyclicwin/internal/mem"
 	"cyclicwin/internal/regwin"
-	"cyclicwin/internal/stats"
 )
 
 // MemCeiling is the exclusive upper bound of guest-addressable data
@@ -73,23 +72,6 @@ type CPU struct {
 	winOK      bool
 	pend       uint64 // batched cycles not yet flushed to the counter
 
-	// Block-tier state (blocks.go): the translated-block cache with its
-	// current-page memo, the translation heat threshold, and the two
-	// cells pre-resolved %g0 operands point at (zeroReg is never
-	// written; g0sink is never read).
-	blockTier   bool
-	bcache      *blockCache
-	curBPage    *blockPage
-	curBPageNum uint32
-	blockHot    uint8
-	zeroReg     uint32
-	g0sink      uint32
-
-	// Interpreter-tier counters: tstat accumulates locally, tpub marks
-	// the portion already published to the process-wide totals.
-	tstat stats.InterpCounters
-	tpub  stats.InterpCounters
-
 	// file, when the manager exposes its register file, supplies the CWP
 	// recorded in guest faults.
 	file *regwin.File
@@ -105,19 +87,11 @@ type flags struct{ n, z, v, c bool }
 // fast execution path is enabled by default; SetFastPath(false) selects
 // the reference interpreter.
 func NewCPU(mgr core.Manager, m *mem.Memory) *CPU {
-	c := &CPU{Mgr: mgr, Mem: m, fast: true, icache: newICache(m), blockHot: defaultBlockThreshold}
+	c := &CPU{Mgr: mgr, Mem: m, fast: true, icache: newICache(m)}
 	c.wa, _ = mgr.(core.WindowAccessor)
 	if fr, ok := mgr.(interface{ File() *regwin.File }); ok {
 		c.file = fr.File()
 	}
-	// The block tier needs both the devirtualized window pointers (to
-	// pre-resolve operands) and the register file (to key blocks by
-	// CWP); managers exposing neither — the Reference oracle, the trace
-	// decorator — cap out at the per-instruction fast path.
-	if c.wa != nil && c.file != nil {
-		c.bcache = newBlockCache(c)
-	}
-	c.SetTier(DefaultTier())
 	return c
 }
 
@@ -133,10 +107,6 @@ func (c *CPU) SetChaos(inj *fault.Injector) {
 	inj.Arm(fault.PointICacheFlush, func() {
 		c.icache.dropAll()
 		c.curPage = nil
-		if c.bcache != nil {
-			c.bcache.dropAll()
-			c.curBPage = nil
-		}
 	})
 }
 
@@ -164,9 +134,6 @@ func (c *CPU) guestFault(k fault.Kind, format string, args ...interface{}) error
 
 // SetFastPath selects between the fast execution path (default) and the
 // reference Step loop for Run. Both produce identical machine state.
-// The block tier rides the fast path: whether it is consulted is
-// governed by SetTier, so SetFastPath(true) restores whatever tier the
-// CPU was created with.
 func (c *CPU) SetFastPath(on bool) { c.fast = on }
 
 // PC returns the current program counter.
@@ -470,20 +437,12 @@ func (c *CPU) setFlagsSub(a, b, r uint32) {
 
 // Run executes until halt, yield, error or the step limit; limit 0 means
 // no limit. It returns whether the program yielded (false means halted)
-// and any execution error. By default it runs on the configured tier
-// (block translation where available, see blocks.go, falling back to
-// the fast path of fast.go); SetFastPath(false) or SetTier(TierSlow)
-// selects the reference Step loop.
+// and any execution error. By default it runs on the fast path (see
+// fast.go); SetFastPath(false) selects the reference Step loop.
 func (c *CPU) Run(limit uint64) (yielded bool, err error) {
-	defer c.publishTierStats()
 	if c.fast {
-		steps0, blk0 := c.Steps, c.tstat.BlockInstrs
-		yielded, err = c.runFast(limit)
-		c.tstat.FastInstrs += (c.Steps - steps0) - (c.tstat.BlockInstrs - blk0)
-		return yielded, err
+		return c.runFast(limit)
 	}
-	steps0 := c.Steps
-	defer func() { c.tstat.ReferenceInstrs += c.Steps - steps0 }()
 	for !c.halted {
 		if limit > 0 && c.Steps >= limit {
 			return false, c.guestFault(fault.StepLimit, "step limit %d exceeded", limit)

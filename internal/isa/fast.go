@@ -95,19 +95,12 @@ func (c *CPU) operand2Fast(in *Instr) uint32 {
 	return c.rdReg(in.Rs2)
 }
 
-// runFast is the fast-path Run loop. When the block tier is enabled it
-// dispatches translated blocks first (blocks.go) and single-steps the
-// per-instruction fast path for everything cold, invalidated, near the
-// step limit, or untranslatable.
+// runFast is the fast-path Run loop.
 func (c *CPU) runFast(limit uint64) (yielded bool, err error) {
 	// The window pointers may be stale from a previous Run call: a
 	// context switch (or window relocation) can have happened in
 	// between, so start unfetched and let the first access refresh.
 	c.winOK = false
-	// The block tier needs pre-resolved window pointers and stands down
-	// for per-instruction observers: the OnStep hook and the chaos poll
-	// are specified per instruction, and blocks would skip them.
-	blocks := c.blockTier && c.bcache != nil && c.OnStep == nil && c.chaos == nil
 	for !c.halted {
 		if limit > 0 && c.Steps >= limit {
 			err := c.guestFault(fault.StepLimit, "step limit %d exceeded", limit)
@@ -116,24 +109,6 @@ func (c *CPU) runFast(limit uint64) (yielded bool, err error) {
 		}
 		if c.chaos != nil {
 			c.chaos.Poll(fault.PointICacheFlush)
-		}
-		if blocks && c.pc&3 == 0 {
-			// The limit guard falls back to single-stepping when a whole
-			// block would overshoot the step limit, so the limit fault
-			// lands on the exact instruction.
-			if b := c.blockFor(c.pc); b != nil && (limit == 0 || c.Steps+uint64(b.n) <= limit) {
-				c.tstat.BlockCacheHits++
-				if err := c.execBlock(b); err != nil {
-					c.flushCycles()
-					return false, err
-				}
-				if c.yield {
-					c.yield = false
-					c.flushCycles()
-					return true, nil
-				}
-				continue
-			}
 		}
 		pc := c.pc
 		in := c.fetch(pc)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cyclicwin/internal/asm"
@@ -42,11 +43,6 @@ func newDiffMachine(s core.Scheme, windows int, words []uint32, fast bool) *diff
 	m.Mgr.SetReg(regwin.RegSP, 0x0800000)
 	cpu := isa.NewCPU(m.Mgr, m.Mem)
 	cpu.SetFastPath(fast)
-	// A low translation threshold routes even these short differential
-	// programs through the block tier on their first re-execution, so
-	// every parity test in this file also pins block-translated
-	// execution against the reference path.
-	cpu.SetBlockThreshold(2)
 	cpu.SetPC(diffOrigin)
 	return &diffMachine{mgr: m.Mgr, mem: m.Mem, cpu: cpu}
 }
@@ -231,6 +227,92 @@ func TestFastPathSelfModifying(t *testing.T) {
 				t.Fatalf("original instruction never executed: %%g3 = %d", got)
 			}
 		})
+	}
+}
+
+// countLoop is a 20-pass loop: add/xor/subcc/bne then halt.
+func countLoop() []uint32 {
+	return []uint32{
+		isa.EncodeArithImm(isa.Op3Or, 7, 0, 20),             // 0: %g7 = 20
+		isa.EncodeArithImm(isa.Op3Add, 1, 1, 3),             // 1: %g1 += 3
+		isa.EncodeArith(isa.Op3Xor, 2, 2, 1),                // 2: %g2 ^= %g1
+		isa.EncodeArithImm(isa.Op3SubCC, 7, 7, 1),           // 3: %g7--
+		isa.EncodeBranch(isa.CondNE, -3),                    // 4: bne word 1
+		isa.EncodeArithImm(isa.Op3Ticc, 0, 0, isa.TrapHalt), // 5
+	}
+}
+
+// TestFastPathStepLimitParity lands the step limit on every offset of
+// a loop body: the StepLimit fault must carry the exact PC and cycle
+// count of the reference path, the fast path's batched cycles
+// included.
+func TestFastPathStepLimitParity(t *testing.T) {
+	words := countLoop()
+	for limit := uint64(41); limit <= 45; limit++ {
+		slow := newDiffMachine(core.SchemeSP, 8, words, false)
+		fast := newDiffMachine(core.SchemeSP, 8, words, true)
+		errSlow := slow.drive(limit)
+		errFast := fast.drive(limit)
+		if errSlow == "" || errSlow != errFast {
+			t.Fatalf("limit %d: fault divergence:\n slow %q\n fast %q", limit, errSlow, errFast)
+		}
+		compareState(t, slow, fast, errSlow, errFast)
+	}
+}
+
+// TestFastPathPatchedWordFaults has a store on a loop's last pass turn
+// the very next word into an unknown software trap: the patched word
+// must raise IllegalInstruction with the same rendered PC, CWP and
+// cycle count as the reference path (the GuestFault text embeds all
+// three).
+func TestFastPathPatchedWordFaults(t *testing.T) {
+	badTrap := isa.EncodeArithImm(isa.Op3Ticc, 0, 0, 77)
+	patchAddr := uint32(diffOrigin + 8*4)
+	words := []uint32{
+		isa.EncodeArithImm(isa.Op3Or, 7, 0, 6),                      // 0: %g7 = 6 passes
+		isa.EncodeSethi(2, patchAddr>>10),                           // 1
+		isa.EncodeArithImm(isa.Op3Or, 2, 2, int32(patchAddr&0x3ff)), // 2
+		isa.EncodeSethi(1, badTrap>>10),                             // 3
+		isa.EncodeArithImm(isa.Op3Or, 1, 1, int32(badTrap&0x3ff)),   // 4
+		// loop: on the last pass the store swaps the nop-ish or below
+		// for an unknown trap, which then executes in the same pass.
+		isa.EncodeArithImm(isa.Op3SubCC, 7, 7, 1), // 5: %g7--
+		isa.EncodeBranch(isa.CondNE, 3),           // 6: bne skip (word 9)
+		isa.EncodeMem(isa.Op3St, 1, 2, 0),         // 7: st %g1, [%g2] — patches word 8...
+		isa.EncodeArithImm(isa.Op3Or, 3, 0, 1),    // 8: PATCHED target
+		// skip:
+		isa.EncodeArith(isa.Op3Add, 4, 4, 3),                // 9: %g4 += %g3
+		isa.EncodeBranch(isa.CondA, -5),                     // 10: ba loop (word 5)
+		isa.EncodeArithImm(isa.Op3Ticc, 0, 0, isa.TrapHalt), // 11
+	}
+	for _, s := range core.Schemes {
+		t.Run(fmt.Sprintf("%v", s), func(t *testing.T) {
+			slow := newDiffMachine(s, 4, words, false)
+			fast := newDiffMachine(s, 4, words, true)
+			errSlow := slow.drive(100_000)
+			errFast := fast.drive(100_000)
+			compareState(t, slow, fast, errSlow, errFast)
+			if !strings.Contains(errFast, "unknown software trap 77") {
+				t.Fatalf("expected the patched trap to fault, got %q", errFast)
+			}
+		})
+	}
+}
+
+// TestFastPathUnsupportedOp3 starts execution on a word with an
+// unknown op3: the program must fault identically to the reference
+// path.
+func TestFastPathUnsupportedOp3(t *testing.T) {
+	words := []uint32{
+		isa.EncodeArith(0x2b, 1, 1, 1), // unknown arith op3 faults on execution
+	}
+	slow := newDiffMachine(core.SchemeSP, 4, words, false)
+	fast := newDiffMachine(core.SchemeSP, 4, words, true)
+	errSlow := slow.drive(100)
+	errFast := fast.drive(100)
+	compareState(t, slow, fast, errSlow, errFast)
+	if !strings.Contains(errFast, "unsupported op3") {
+		t.Fatalf("expected an illegal-instruction fault, got %q", errFast)
 	}
 }
 

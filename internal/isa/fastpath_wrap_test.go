@@ -124,20 +124,14 @@ func TestFastPathLocalsSurviveWrap(t *testing.T) {
 	}
 }
 
-// TestBlockSplitByMidBlockStore pins the hardest block-tier coherence
-// case: a store *inside* a translated block patches a later instruction
-// of that same block, two slots ahead. Reference semantics re-fetch
-// every instruction, so the patched word must execute its NEW form in
-// the same pass; a block tier that kept executing its stale translation
+// TestFastPathStorePatchesWordAhead has a store inside a loop body
+// patch the instruction two slots after it. Reference semantics
+// re-fetch every instruction, so the patched word must execute its NEW
+// form in the same pass; a fast path that kept its stale predecode
 // would run the old one. The patched word's immediate is incremented
 // before each store, so stale execution produces a different sum (0+1+
-// 2+3=6) than fresh execution (1+2+3+4=10) — the two cannot alias. With
-// the low translation threshold of newDiffMachine the loop body is
-// translated mid-test and then killed by its own store every hot pass,
-// exercising the executor's generation abort and retranslation, with
-// compareState holding Steps, PC and cycle totals to reference-exact
-// values.
-func TestBlockSplitByMidBlockStore(t *testing.T) {
+// 2+3=6) than fresh execution (1+2+3+4=10) — the two cannot alias.
+func TestFastPathStorePatchesWordAhead(t *testing.T) {
 	enc0 := isa.EncodeArithImm(isa.Op3Or, 3, 0, 0) // or %g0, 0, %g3
 	patchAddr := uint32(diffOrigin + 8*4)
 	words := []uint32{
@@ -146,14 +140,14 @@ func TestBlockSplitByMidBlockStore(t *testing.T) {
 		isa.EncodeArithImm(isa.Op3Or, 2, 2, int32(patchAddr&0x3ff)), //  2: %g2 |= lo(addr)
 		isa.EncodeSethi(1, enc0>>10),                                //  3: %g1 = hi(enc0)
 		isa.EncodeArithImm(isa.Op3Or, 1, 1, int32(enc0&0x3ff)),      //  4: %g1 |= lo(enc0)
-		// loop: one straight-line block from here to the bne.
-		isa.EncodeArithImm(isa.Op3Add, 1, 1, 1),   //  5: %g1++ (bumps the patched immediate)
-		isa.EncodeMem(isa.Op3St, 1, 2, 0),         //  6: st %g1, [%g2] — patches word 8
-		isa.EncodeArith(isa.Op3Xor, 5, 5, 1),      //  7: %g5 ^= %g1 (post-store, pre-patch slot)
-		enc0,                                      //  8: PATCHED: %g3 = pass number
-		isa.EncodeArith(isa.Op3Add, 4, 4, 3),      //  9: %g4 += %g3
-		isa.EncodeArithImm(isa.Op3SubCC, 7, 7, 1), // 10: %g7--
-		isa.EncodeBranch(isa.CondNE, -6),          // 11: bne loop (word 5)
+		// loop:
+		isa.EncodeArithImm(isa.Op3Add, 1, 1, 1),             //  5: %g1++ (bumps the patched immediate)
+		isa.EncodeMem(isa.Op3St, 1, 2, 0),                   //  6: st %g1, [%g2] — patches word 8
+		isa.EncodeArith(isa.Op3Xor, 5, 5, 1),                //  7: %g5 ^= %g1 (post-store, pre-patch slot)
+		enc0,                                                //  8: PATCHED: %g3 = pass number
+		isa.EncodeArith(isa.Op3Add, 4, 4, 3),                //  9: %g4 += %g3
+		isa.EncodeArithImm(isa.Op3SubCC, 7, 7, 1),           // 10: %g7--
+		isa.EncodeBranch(isa.CondNE, -6),                    // 11: bne loop (word 5)
 		isa.EncodeArithImm(isa.Op3Ticc, 0, 0, isa.TrapHalt), // 12
 	}
 	for _, s := range core.Schemes {
@@ -168,29 +162,19 @@ func TestBlockSplitByMidBlockStore(t *testing.T) {
 			}
 			for _, d := range []*diffMachine{slow, fast} {
 				if got := d.mgr.Reg(4); got != 10 {
-					t.Fatalf("%%g4 = %d, want 10 (patched word executed a stale translation)", got)
+					t.Fatalf("%%g4 = %d, want 10 (patched word executed a stale decode)", got)
 				}
-			}
-			tc := fast.cpu.TierCounters()
-			if tc.BlockInstrs == 0 {
-				t.Fatal("block tier never executed; the test did not exercise mid-block invalidation")
-			}
-			if tc.BlockCacheInvalidations == 0 {
-				t.Fatal("no block was invalidated; the store missed the translated block")
 			}
 		})
 	}
 }
 
-// TestBlockSpansWindowWrapRecursion drives deep recursion on a 3-window
-// file so the hot function body — translated as blocks ending at its
-// conditional branch and recursive call — executes at every CWP while
-// the file wraps several times. Blocks are keyed by (entry, CWP), so the wrap forces one
-// translation per window and dispatch must select the variant whose
-// pre-resolved pointers match the live window; picking a stale variant
-// would read another frame's registers and corrupt the sum. Depth 40
-// at (depth+5) per frame: sum 45+44+...+6 = 1020.
-func TestBlockSpansWindowWrapRecursion(t *testing.T) {
+// TestFastPathWindowWrapRecursion drives deep recursion on 3- and
+// 4-window files so the hot function body executes at every CWP while
+// the file wraps several times; any window pointer the fast path failed
+// to refresh would read another frame's registers and corrupt the sum.
+// Depth 40 at (depth+5) per frame: sum 45+44+...+6 = 1020.
+func TestFastPathWindowWrapRecursion(t *testing.T) {
 	words := []uint32{
 		isa.EncodeArithImm(isa.Op3Or, 8, 0, 40),             // 0: %o0 = 40
 		isa.EncodeCall(2),                                   // 1: call f (word 3)
@@ -220,11 +204,8 @@ func TestBlockSpansWindowWrapRecursion(t *testing.T) {
 				}
 				for _, d := range []*diffMachine{slow, fast} {
 					if got := d.mgr.Reg(4); got != 1020 {
-						t.Fatalf("%%g4 = %d, want 1020 (a block ran with another window's pointers)", got)
+						t.Fatalf("%%g4 = %d, want 1020 (a frame ran with another window's registers)", got)
 					}
-				}
-				if tc := fast.cpu.TierCounters(); tc.BlockInstrs == 0 {
-					t.Fatal("block tier never executed; recursion depth did not heat any entry")
 				}
 			})
 		}

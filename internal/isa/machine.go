@@ -18,11 +18,6 @@ type Machine struct {
 	// the fast path; the differential and parity tests use it to compare
 	// the two.
 	SlowPath bool
-
-	// Tier selects the interpreter tier RunProgram uses; the zero value
-	// (TierDefault) follows the process default. SlowPath, when set,
-	// wins (it predates Tier and the parity tests rely on it).
-	Tier Tier
 }
 
 // NewMachine builds a machine with the given scheme and window count.
@@ -43,10 +38,7 @@ func (m *Machine) RunProgram(entry uint32, limit uint64) (*CPU, error) {
 	m.Mgr.Switch(t)
 	m.Mgr.SetReg(regwin.RegSP, guestStackTop)
 	cpu := NewCPU(m.Mgr, m.Mem)
-	cpu.SetTier(m.Tier)
-	if m.SlowPath {
-		cpu.SetTier(TierSlow)
-	}
+	cpu.SetFastPath(!m.SlowPath)
 	cpu.SetPC(entry)
 	for {
 		yielded, err := cpu.Run(limit)
@@ -78,9 +70,7 @@ func ThreadBodySlow(mgr core.Manager, memory *mem.Memory, entry, sp uint32, limi
 func threadBody(mgr core.Manager, memory *mem.Memory, entry, sp uint32, limit uint64, console *[]byte, fast bool) func(*sched.Env) {
 	return func(e *sched.Env) {
 		cpu := NewCPU(mgr, memory)
-		if !fast {
-			cpu.SetTier(TierSlow)
-		}
+		cpu.SetFastPath(fast)
 		cpu.SetPC(entry)
 		mgr.SetReg(regwin.RegSP, sp)
 		for {

@@ -21,13 +21,12 @@ type Memory struct {
 
 // OnStore registers fn to be called after every store, with the address
 // and byte length of the stored range. The interpreter's predecoded
-// instruction cache and its block translation cache each use a watcher
-// to invalidate cached decodes/translations when a program writes into
-// its own text segment; watchers fire synchronously, in registration
-// order, before the store's caller regains control, which is what lets
-// an executing translated block observe its own invalidation. Watchers
-// must be cheap: they run on the store hot path (they are expected to
-// reject out-of-range addresses in a compare or two).
+// instruction cache uses this to invalidate decoded words when a
+// program writes into its own text segment; watchers fire
+// synchronously, before the store's caller regains control, so the
+// very next fetch sees the new word. Watchers must be cheap: they run
+// on the store hot path (they are expected to reject out-of-range
+// addresses in a compare or two).
 func (m *Memory) OnStore(fn func(addr, n uint32)) {
 	m.watchers = append(m.watchers, fn)
 }

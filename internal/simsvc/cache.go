@@ -48,10 +48,8 @@ type Cache struct {
 	// caller (the leader) runs the disk-load + peer-fetch path once and
 	// every concurrent caller waits for its answer, so a cold key costs
 	// one disk read and one peer fetch no matter how many requests race
-	// on it. coalesce gates the behaviour (on by default; winsimbench
-	// switches it off to measure the stampeding baseline).
-	flights  map[string]*cacheFlight
-	coalesce bool
+	// on it.
+	flights map[string]*cacheFlight
 
 	hits      uint64 // in-memory hits
 	diskHits  uint64 // misses answered by the disk store
@@ -92,25 +90,12 @@ func NewCache(max int, dir string) (*Cache, error) {
 		}
 	}
 	return &Cache{
-		max:      max,
-		ll:       list.New(),
-		entries:  make(map[string]*list.Element),
-		dir:      dir,
-		flights:  make(map[string]*cacheFlight),
-		coalesce: true,
+		max:     max,
+		ll:      list.New(),
+		entries: make(map[string]*list.Element),
+		dir:     dir,
+		flights: make(map[string]*cacheFlight),
 	}, nil
-}
-
-// SetCoalesce toggles per-key in-flight coalescing of cold lookups
-// (on by default). Only winsimbench turns it off, to measure the
-// pre-coalescing stampede as a baseline.
-func (c *Cache) SetCoalesce(on bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.coalesce = on
-	c.mu.Unlock()
 }
 
 // SetRemote installs the peer-fill tier consulted by Get after memory
@@ -162,7 +147,7 @@ func (c *Cache) get(ctx context.Context, key string, allowRemote bool) (*JobResu
 	// peer-fill endpoint, and a peer's answer must never wait on a flight
 	// that is itself fetching from peers — two nodes missing the same key
 	// would deadlock on each other's flights.
-	if allowRemote && c.coalesce {
+	if allowRemote {
 		if f, ok := c.flights[key]; ok {
 			c.coalesced++
 			c.mu.Unlock()
@@ -189,8 +174,8 @@ func (c *Cache) get(ctx context.Context, key string, allowRemote bool) (*JobResu
 }
 
 // fill runs the cold-lookup tiers (disk, then remote) for one key and
-// accounts the outcome. Exactly one goroutine runs fill per key at a
-// time when coalescing is on.
+// accounts the outcome. At most one Get runs fill per key at a time;
+// GetLocal callers bypass the flight.
 func (c *Cache) fill(ctx context.Context, key string, remote RemoteCache, allowRemote bool) (*JobResult, bool) {
 	if v, ok := c.loadDisk(key); ok {
 		c.mu.Lock()

@@ -68,7 +68,9 @@ var catalog = []Experiment{
 	figureExperiment("fig15", "Figure 15: execution time vs windows under working-set scheduling", harness.RunFig15With),
 	textExperiment("ablation", "Section 4 design-choice ablations: flush vs in-situ, SNP allocation search, restore emulation", renderAblations),
 	textExperiment("activity", "Section 5 quantities: window activity per thread, total activity, concurrency",
-		func(out *bytes.Buffer, sz harness.Sizes, _ []int) { harness.RenderActivity(out, harness.RunActivity(sz)) }),
+		func(out *bytes.Buffer, sz harness.Sizes, _ []int) {
+			harness.RenderActivity(out, harness.RunActivity(sz))
+		}),
 	textExperiment("tail", "Context-switch latency distribution (p50/p99/max) per scheme",
 		func(out *bytes.Buffer, sz harness.Sizes, _ []int) { harness.RenderTail(out, harness.RunTail(sz, 8)) }),
 	textExperiment("transfer", "Windows transferred per overflow trap (Tamir & Sequin depth sweep)",

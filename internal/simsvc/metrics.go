@@ -39,47 +39,6 @@ func (r ShedReason) String() string {
 	}
 }
 
-// metricsRecorder is the job-accounting surface the pool writes to on
-// every lifecycle event. Two implementations exist: shardedMetrics
-// (the default — writers never block on a scrape) and lockedMetrics
-// (the pre-sharding single-mutex recorder, kept selectable so
-// winsimbench can measure both serving paths against each other).
-//
-// Shard discipline: every job draws one shard at submission
-// (pickShard) and reports every later lifecycle event against that
-// same shard, so a scraper that reads each shard coherently sees
-// exact conservation — accepted == queued + running + done + failed +
-// canceled — no matter how the scrape interleaves with the storm.
-type metricsRecorder interface {
-	setWorkers(n int)
-	pickShard() uint32
-	jobQueued(shard uint32)
-	jobStarted(shard uint32)
-	jobFinished(shard uint32, st Status, elapsed time.Duration)
-	jobDroppedQueued(shard uint32)
-	jobCached(shard uint32, elapsed time.Duration)
-	jobShed(reason ShedReason)
-	panicRecovered()
-	simObserved(scheme string, c *stats.Counters)
-	simSnapshot() map[string]SimSnapshot
-	// latencyStats returns the job-latency histogram as a Distribution
-	// (values in the recorder's native unit), the factor converting one
-	// unit to seconds, and the exact sum of all observations in
-	// seconds (bucketed recorders lose per-sample exactness in the
-	// distribution but keep the running sum exact).
-	latencyStats() (d stats.Distribution, scale float64, sumSeconds float64)
-	snapshot(cs CacheStats) MetricsSnapshot
-}
-
-// newRecorder selects the backend: sharded by default, the legacy
-// single-mutex recorder when legacy is set (winsimbench's baseline).
-func newRecorder(workers int, legacy bool) metricsRecorder {
-	if legacy {
-		return &lockedMetrics{}
-	}
-	return newShardedMetrics(workers)
-}
-
 // ---------------------------------------------------------------------
 // Sharded wait-free recorder.
 //
@@ -273,9 +232,9 @@ func (v *shardView) quantile(q float64) uint64 {
 	return v.latMax
 }
 
-// simAgg is the per-scheme simulation aggregate shared by both
-// recorder backends. Cells take milliseconds to simulate, so one
-// mutex around a fold-per-cell is nowhere near the per-job hot path.
+// simAgg is the per-scheme simulation aggregate. Cells take
+// milliseconds to simulate, so one mutex around a fold-per-cell is
+// nowhere near the per-job hot path.
 type simAgg struct {
 	mu       sync.Mutex
 	sim      map[string]*stats.Counters
@@ -314,7 +273,14 @@ func (a *simAgg) simSnapshot() map[string]SimSnapshot {
 	return out
 }
 
-// shardedMetrics is the default recorder.
+// shardedMetrics is the job-accounting recorder the pool writes to on
+// every lifecycle event.
+//
+// Shard discipline: every job draws one shard at submission
+// (pickShard) and reports every later lifecycle event against that
+// same shard, so a scraper that reads each shard coherently sees
+// exact conservation — accepted == queued + running + done + failed +
+// canceled — no matter how the scrape interleaves with the storm.
 type shardedMetrics struct {
 	shards []*metricShard
 	rr     atomic.Uint32
@@ -459,31 +425,35 @@ func (m *shardedMetrics) merge() shardView {
 	return total
 }
 
-func (m *shardedMetrics) latencyStats() (stats.Distribution, float64, float64) {
+// latencyStats returns the job-latency histogram as a Distribution of
+// nanoseconds and the exact sum of all observations in seconds (the
+// bucketed distribution loses per-sample exactness, the running sum
+// does not).
+func (m *shardedMetrics) latencyStats() (stats.Distribution, float64) {
 	v := m.merge()
 	var d stats.Distribution
 	for i, c := range v.lat {
 		d.ObserveN(latUpper(i), c)
 	}
-	return d, 1e-9, float64(v.latSum) / 1e9
+	return d, float64(v.latSum) / 1e9
 }
 
 func (m *shardedMetrics) snapshot(cs CacheStats) MetricsSnapshot {
 	v := m.merge()
 	workers := int(m.workers.Load())
 	s := MetricsSnapshot{
-		JobsAccepted: v.accepted,
-		JobsQueued:   v.queued,
-		JobsRunning:  v.running,
-		JobsDone:     v.done,
-		JobsFailed:   v.failed,
-		JobsCanceled: v.canceled,
-		JobsCached:   v.cached,
-		JobsShed:     v.shedQueueFull + v.shedClientQuota + v.shedCost,
+		JobsAccepted:    v.accepted,
+		JobsQueued:      v.queued,
+		JobsRunning:     v.running,
+		JobsDone:        v.done,
+		JobsFailed:      v.failed,
+		JobsCanceled:    v.canceled,
+		JobsCached:      v.cached,
+		JobsShed:        v.shedQueueFull + v.shedClientQuota + v.shedCost,
 		ShedQueueFull:   v.shedQueueFull,
 		ShedClientQuota: v.shedClientQuota,
 		ShedCost:        v.shedCost,
-		PanicsTotal:  v.panics,
+		PanicsTotal:     v.panics,
 
 		Workers:      workers,
 		BusyWorkers:  int(v.running),

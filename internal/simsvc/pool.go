@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cyclicwin/internal/harness"
-	"cyclicwin/internal/isa"
 	"cyclicwin/internal/stats"
 )
 
@@ -199,12 +198,6 @@ type PoolConfig struct {
 	// before it saturates the workers — while cheap cells keep flowing
 	// as long as their small estimates still fit.
 	MaxQueueCost uint64
-	// LegacyMetrics selects the pre-sharding single-mutex metrics
-	// recorder instead of the default sharded wait-free one. Only
-	// winsimbench sets it, to measure the two serving paths against
-	// each other; the legacy recorder stalls every job event while
-	// /metrics renders.
-	LegacyMetrics bool
 	// Cache, when non-nil, answers repeated specs without re-running
 	// and stores every completed result.
 	Cache *Cache
@@ -223,7 +216,7 @@ type PoolConfig struct {
 // answered by the cache.
 type Pool struct {
 	cfg     PoolConfig
-	metrics metricsRecorder
+	metrics *shardedMetrics
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -255,7 +248,7 @@ func NewPool(cfg PoolConfig) *Pool {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pool{
 		cfg:          cfg,
-		metrics:      newRecorder(cfg.Workers, cfg.LegacyMetrics),
+		metrics:      newShardedMetrics(cfg.Workers),
 		ctx:          ctx,
 		cancel:       cancel,
 		byID:         make(map[string]*Job),
@@ -278,9 +271,9 @@ func (p *Pool) Cache() *Cache { return p.cfg.Cache }
 func (p *Pool) Workers() int { return p.cfg.Workers }
 
 // Metrics returns a point-in-time snapshot of pool and cache counters.
-// With the default sharded recorder this never blocks a job event: the
-// job counters are read through the wait-free shard registers, and
-// only the admission gauges take the (submission-side) queue lock.
+// It never blocks a job event: the job counters are read through the
+// wait-free shard registers, and only the admission gauges take the
+// (submission-side) queue lock.
 func (p *Pool) Metrics() MetricsSnapshot {
 	s := p.metrics.snapshot(p.cfg.Cache.Stats())
 	p.mu.Lock()
@@ -288,12 +281,6 @@ func (p *Pool) Metrics() MetricsSnapshot {
 	s.ActiveClients = len(p.clientQueued)
 	p.mu.Unlock()
 	return s
-}
-
-// latencyStats exposes the recorder's latency histogram for the
-// Prometheus exposition (see prom.go).
-func (p *Pool) latencyStats() (stats.Distribution, float64, float64) {
-	return p.metrics.latencyStats()
 }
 
 // ObserveSim folds one freshly simulated cell's counters into the
@@ -539,14 +526,6 @@ func (p *Pool) execute(spec JobSpec) (*JobResult, error) {
 		return (*h)(spec)
 	}
 	start := time.Now()
-	// Interpreter-tier attribution: the per-CPU tier counters publish
-	// into the process-wide snapshot when each guest CPU finishes, so
-	// the delta across the job covers whatever interpreter work it did
-	// (zero for pure window-manager sweeps). Like ElapsedMS, this is an
-	// execution-layer annotation: concurrent jobs may shift instructions
-	// between each other's deltas, and CellResult — the byte-compared
-	// part of a result — never includes it.
-	t0 := isa.TierSnapshot()
 	res := &JobResult{Spec: spec}
 	if spec.Experiment == ExperimentCell {
 		cr, jt, err := runCell(spec)
@@ -566,9 +545,6 @@ func (p *Pool) execute(spec JobSpec) (*JobResult, error) {
 		agg := &stats.Counters{}
 		res.Output, res.CSV = e.Run(spec.Sizes(), spec.WindowList, p.countingRunner(agg))
 		res.Counters = agg
-	}
-	if res.Counters != nil {
-		res.Counters.Interp = isa.TierSnapshot().Sub(t0)
 	}
 	res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
 	return res, nil

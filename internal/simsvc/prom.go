@@ -4,7 +4,6 @@ import (
 	"io"
 	"sort"
 
-	"cyclicwin/internal/isa"
 	"cyclicwin/internal/obs"
 )
 
@@ -19,7 +18,7 @@ var jobLatencyBounds = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 6
 // simulation-level families winsim_.
 func (p *Pool) WritePrometheus(w io.Writer) error {
 	snap := p.Metrics()
-	latency, latScale, latSum := p.latencyStats()
+	latency, latSum := p.metrics.latencyStats()
 	sims := p.metrics.simSnapshot()
 
 	pw := obs.NewWriter(w)
@@ -69,7 +68,7 @@ func (p *Pool) WritePrometheus(w io.Writer) error {
 	pw.Sample("winsimd_cache_coalesced_total", nil, float64(snap.CacheCoalesced))
 
 	pw.Header("winsimd_job_latency_seconds", "Wall-clock latency of executed jobs (cache answers at their real measured latency).", "histogram")
-	lb, _, lcount := obs.FoldBuckets(&latency, jobLatencyBounds, latScale)
+	lb, _, lcount := obs.FoldBuckets(&latency, jobLatencyBounds, 1e-9) // ns -> s
 	// The recorder keeps the exact running sum even where the bucketed
 	// distribution is approximate; prefer it for the _sum series.
 	pw.Histogram("winsimd_job_latency_seconds", nil, lb, latSum, lcount)
@@ -128,21 +127,6 @@ func (p *Pool) WritePrometheus(w io.Writer) error {
 		b, sum, count := obs.DistributionBuckets(&d)
 		pw.Histogram("winsim_switch_cost_cycles", obs.L("scheme", s), b, sum, count)
 	}
-
-	// Interpreter-tier counters are process-wide (every guest CPU
-	// publishes when it finishes a run), not per-scheme: the tier split
-	// is a property of the interpreter, not the window manager.
-	interp := isa.TierSnapshot()
-	pw.Header("winsim_interp_instrs_total", "Guest instructions retired, by interpreter tier.", "counter")
-	pw.Sample("winsim_interp_instrs_total", obs.L("tier", "block"), float64(interp.BlockInstrs))
-	pw.Sample("winsim_interp_instrs_total", obs.L("tier", "fast"), float64(interp.FastInstrs))
-	pw.Sample("winsim_interp_instrs_total", obs.L("tier", "reference"), float64(interp.ReferenceInstrs))
-	pw.Header("winsim_block_cache_hits_total", "Translated-block cache hits (one per block entered).", "counter")
-	pw.Sample("winsim_block_cache_hits_total", nil, float64(interp.BlockCacheHits))
-	pw.Header("winsim_block_cache_misses_total", "Translated-block cache misses (cold or blacklisted entries).", "counter")
-	pw.Sample("winsim_block_cache_misses_total", nil, float64(interp.BlockCacheMisses))
-	pw.Header("winsim_block_cache_invalidations_total", "Translated blocks killed by overlapping guest stores.", "counter")
-	pw.Sample("winsim_block_cache_invalidations_total", nil, float64(interp.BlockCacheInvalidations))
 
 	return pw.Err()
 }

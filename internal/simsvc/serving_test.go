@@ -19,52 +19,48 @@ import (
 // submit-to-answer time, never a hard 0.
 
 func TestCachedJobLatencyNonzero(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		name := "sharded"
-		if legacy {
-			name = "legacy"
-		}
-		t.Run(name, func(t *testing.T) {
-			setHook(t, func(spec JobSpec) (*JobResult, error) {
-				return &JobResult{Spec: spec}, nil
-			})
-			p := testPool(t, PoolConfig{Workers: 1, LegacyMetrics: legacy})
-			spec := JobSpec{Experiment: ExperimentCell, Scheme: "SP", Windows: 6, Behavior: "high-fine",
-				Draft: testSizes.Draft, Dict: testSizes.Dict}
-
-			j1, err := p.Submit(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := j1.Wait(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			j2, err := p.Submit(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !j2.CacheHit() {
-				t.Fatal("second submission of an identical spec was not a cache hit")
-			}
-
-			m := p.Metrics()
-			if m.JobsCached != 1 {
-				t.Fatalf("JobsCached = %d, want 1", m.JobsCached)
-			}
-			if m.JobsMeasured != 2 {
-				t.Fatalf("JobsMeasured = %d, want 2 (executed job + cache answer)", m.JobsMeasured)
-			}
-			// Two samples; p50 covers ceil(0.5*2)=1 of them, i.e. the
-			// smaller — the cache answer. The old recorder stored it as a
-			// hard 0, which this pins against.
-			if m.JobLatencyP50MS <= 0 {
-				t.Errorf("cache-hit latency recorded as %v ms, want > 0", m.JobLatencyP50MS)
-			}
-			if m.JobLatencyMeanMS <= 0 {
-				t.Errorf("latency mean = %v ms, want > 0", m.JobLatencyMeanMS)
-			}
+	// The sharded recorder is the pool's only one; the subtest keeps
+	// the name it had when a locked recorder ran beside it.
+	t.Run("sharded", func(t *testing.T) {
+		setHook(t, func(spec JobSpec) (*JobResult, error) {
+			return &JobResult{Spec: spec}, nil
 		})
-	}
+		p := testPool(t, PoolConfig{Workers: 1})
+		spec := JobSpec{Experiment: ExperimentCell, Scheme: "SP", Windows: 6, Behavior: "high-fine",
+			Draft: testSizes.Draft, Dict: testSizes.Dict}
+
+		j1, err := p.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j1.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		j2, err := p.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !j2.CacheHit() {
+			t.Fatal("second submission of an identical spec was not a cache hit")
+		}
+
+		m := p.Metrics()
+		if m.JobsCached != 1 {
+			t.Fatalf("JobsCached = %d, want 1", m.JobsCached)
+		}
+		if m.JobsMeasured != 2 {
+			t.Fatalf("JobsMeasured = %d, want 2 (executed job + cache answer)", m.JobsMeasured)
+		}
+		// Two samples; p50 covers ceil(0.5*2)=1 of them, i.e. the
+		// smaller — the cache answer. The old recorder stored it as a
+		// hard 0, which this pins against.
+		if m.JobLatencyP50MS <= 0 {
+			t.Errorf("cache-hit latency recorded as %v ms, want > 0", m.JobLatencyP50MS)
+		}
+		if m.JobLatencyMeanMS <= 0 {
+			t.Errorf("latency mean = %v ms, want > 0", m.JobLatencyMeanMS)
+		}
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -134,33 +130,6 @@ func TestCacheColdGetsCoalesce(t *testing.T) {
 	}
 	if st.Misses != 0 {
 		t.Errorf("Misses = %d, want 0", st.Misses)
-	}
-}
-
-// TestCacheCoalesceDisabled pins the baseline winsimbench measures
-// against: with coalescing off, every concurrent cold get runs the
-// full remote path.
-func TestCacheCoalesceDisabled(t *testing.T) {
-	c, err := NewCache(0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := &countingRemote{hold: 10 * time.Millisecond}
-	c.SetRemote(remote)
-	c.SetCoalesce(false)
-
-	const callers = 4
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.Get(context.Background(), "deadbeef")
-		}()
-	}
-	wg.Wait()
-	if n := remote.fetches.Load(); n != callers {
-		t.Fatalf("Fetch called %d times with coalescing off, want %d (the stampede)", n, callers)
 	}
 }
 

@@ -47,50 +47,6 @@ type Counters struct {
 	// costs; its Max is the worst case the paper calls "terrible ... an
 	// undesirable characteristic in hard real time systems" for NS.
 	SwitchCost Distribution
-
-	// Interp reports which interpreter tier retired the run's guest
-	// instructions. The window managers never touch it — it is filled by
-	// the execution layer (simsvc) from the interpreter's own counters,
-	// so manager-level counter comparisons between tiers stay exact.
-	Interp InterpCounters
-}
-
-// InterpCounters counts instructions retired per interpreter tier and
-// the block-translation cache's behaviour (internal/isa). Zero unless
-// the run executed guest machine code.
-type InterpCounters struct {
-	BlockInstrs     uint64
-	FastInstrs      uint64
-	ReferenceInstrs uint64
-
-	BlockCacheHits          uint64
-	BlockCacheMisses        uint64
-	BlockCacheInvalidations uint64
-}
-
-// Add accumulates o into c.
-func (c *InterpCounters) Add(o *InterpCounters) {
-	if o == nil {
-		return
-	}
-	c.BlockInstrs += o.BlockInstrs
-	c.FastInstrs += o.FastInstrs
-	c.ReferenceInstrs += o.ReferenceInstrs
-	c.BlockCacheHits += o.BlockCacheHits
-	c.BlockCacheMisses += o.BlockCacheMisses
-	c.BlockCacheInvalidations += o.BlockCacheInvalidations
-}
-
-// Sub returns c - o, the delta between two monotonic snapshots.
-func (c InterpCounters) Sub(o InterpCounters) InterpCounters {
-	return InterpCounters{
-		BlockInstrs:             c.BlockInstrs - o.BlockInstrs,
-		FastInstrs:              c.FastInstrs - o.FastInstrs,
-		ReferenceInstrs:         c.ReferenceInstrs - o.ReferenceInstrs,
-		BlockCacheHits:          c.BlockCacheHits - o.BlockCacheHits,
-		BlockCacheMisses:        c.BlockCacheMisses - o.BlockCacheMisses,
-		BlockCacheInvalidations: c.BlockCacheInvalidations - o.BlockCacheInvalidations,
-	}
 }
 
 // Add accumulates o into c: scalar counters are summed and the
@@ -115,7 +71,6 @@ func (c *Counters) Add(o *Counters) {
 	c.MigrationSaves += o.MigrationSaves
 	c.Preemptions += o.Preemptions
 	c.SwitchCost.Merge(&o.SwitchCost)
-	c.Interp.Add(&o.Interp)
 }
 
 // Clone returns an independent copy of c (the SwitchCost histogram's

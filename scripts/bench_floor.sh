@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Interpreter benchmark regression floor: re-runs the block tier of
+# Interpreter benchmark regression floor: re-runs the fast path of
 # BenchmarkCPUStep and fails if the measured throughput drops more than
 # 10% below the committed BENCH_interp.json record. The committed value
 # and the fresh measurement come from different machines, so the floor
@@ -8,17 +8,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-committed=$(sed -n 's/.*"block_minstr_per_s": *\([0-9.]*\).*/\1/p' BENCH_interp.json | head -1)
+committed=$(sed -n 's/.*"fast_minstr_per_s": *\([0-9.]*\).*/\1/p' BENCH_interp.json | head -1)
 if [ -z "$committed" ]; then
-    echo "bench_floor: no block_minstr_per_s in BENCH_interp.json" >&2
+    echo "bench_floor: no fast_minstr_per_s in BENCH_interp.json" >&2
     exit 1
 fi
 
-out=$(go test -run '^$' -bench 'BenchmarkCPUStep/block' -benchtime 1s -count 3 ./internal/isa/)
+out=$(go test -run '^$' -bench 'BenchmarkCPUStep/fast' -benchtime 1s -count 3 ./internal/isa/)
 printf '%s\n' "$out"
 
 best=$(printf '%s\n' "$out" | awk '
-    /BenchmarkCPUStep\/block/ {
+    /BenchmarkCPUStep\/fast/ {
         for (i = 1; i < NF; i++)
             if ($(i+1) == "Minstr/s" && $i + 0 > m) m = $i + 0
     }
@@ -30,9 +30,9 @@ fi
 
 frac=${BENCH_FLOOR_FRAC:-0.9}
 floor=$(awk -v c="$committed" -v f="$frac" 'BEGIN { printf "%.2f", c * f }')
-echo "bench_floor: block tier ${best} Minstr/s, committed ${committed}, floor ${floor} (${frac}x)"
+echo "bench_floor: fast path ${best} Minstr/s, committed ${committed}, floor ${floor} (${frac}x)"
 if ! awk -v b="$best" -v fl="$floor" 'BEGIN { exit !(b + 0 >= fl + 0) }'; then
-    echo "bench_floor: FAIL — BenchmarkCPUStep/block at ${best} Minstr/s is below the ${floor} floor" >&2
+    echo "bench_floor: FAIL — BenchmarkCPUStep/fast at ${best} Minstr/s is below the ${floor} floor" >&2
     exit 1
 fi
 echo "bench_floor: OK"

@@ -7,8 +7,9 @@
 # whole time, and fails on an SLO breach or any dropped metric event
 # (winsimbench checks the conservation invariant accepted ==
 # queued+running+terminal on every scrape and exits nonzero if it ever
-# fails to hold). Then it runs the in-process sharded-vs-locked A/B
-# ramp and writes the BENCH_serve.json trajectory CI uploads.
+# fails to hold). Then it runs an in-process -findmax ramp and writes
+# its trajectory to .bench_build/bench_serve_ci.json, which CI uploads;
+# the committed BENCH_serve.json is never touched.
 #
 # Requires only the go toolchain plus curl; JSON validation uses
 # python3 when available and falls back to grep checks otherwise.
@@ -75,26 +76,31 @@ echo "== graceful shutdown =="
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || true
 
-echo "== in-process sharded-vs-locked A/B ramp -> BENCH_serve.json =="
+echo "== in-process findmax ramp -> .bench_build/bench_serve_ci.json =="
 # Short steps keep CI fast; the committed BENCH_serve.json carries a
-# longer calibrated run. The ramp is not gated on the comparison
-# (machine-dependent) — only on both paths producing clean trajectories.
-"$TMP/winsimbench" -ab -mix hot -rps 500 -rampfactor 2 -stepdur 1s -maxrps 500000 \
-  -concurrency 16 -scrapers 2 -slo-p99 100ms -out BENCH_serve.json
-grep -q '"comparison"' BENCH_serve.json
+# longer calibrated run. The ramp is gated only on clean trajectories
+# and on some rate meeting the SLO; the rate itself is machine-dependent.
+OUT=.bench_build/bench_serve_ci.json
+mkdir -p .bench_build
+"$TMP/winsimbench" -findmax -mix hot -rps 500 -rampfactor 2 -stepdur 1s -maxrps 500000 \
+  -concurrency 16 -scrapers 2 -slo-p99 100ms -out "$OUT"
 if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_serve.json <<'EOF'
-import json
-f = json.load(open("BENCH_serve.json"))
-assert len(f["runs"]) == 2, "expected locked + sharded runs"
-for run in f["runs"]:
-    for step in run["steps"]:
-        assert step["dropped_events"] == 0, f"{run['name']}: dropped metric events at {step['target_rps']} rps"
-        assert step["errors"] == 0, f"{run['name']}: unexpected errors at {step['target_rps']} rps"
-sharded = next(r for r in f["runs"] if r["metrics"] == "sharded")
-assert sharded["max_compliant_rps"] > 0, "sharded path satisfied no rate"
-print(f"A/B ok: {f['comparison']}")
+  python3 - "$OUT" <<'EOF'
+import json, sys
+f = json.load(open(sys.argv[1]))
+run = f["runs"][0]
+for step in run["steps"]:
+    assert step["dropped_events"] == 0, f"dropped metric events at {step['target_rps']} rps"
+    assert step["errors"] == 0, f"unexpected errors at {step['target_rps']} rps"
+assert run["max_compliant_rps"] > 0, "no rate satisfied the SLO"
+print(f"findmax ok: {run['max_compliant_rps']:.0f} rps within SLO")
 EOF
+else
+  grep -q '"max_compliant_rps": [1-9]' "$OUT"
+  if grep -qE '"(dropped_events|errors)": [1-9]' "$OUT"; then
+    echo "findmax trajectory has dropped events or errors" >&2
+    exit 1
+  fi
 fi
 
 echo "SMOKE OK"
