@@ -11,9 +11,7 @@
 // dictionaries). Figure sweeps execute their cells concurrently on a
 // simsvc worker pool (-parallel=false forces the serial path; both
 // produce byte-identical output). With -cachedir, completed cells are
-// stored on disk and reused across invocations. With -cluster, sweep
-// cells shard across a set of winsimd workers by content hash (see
-// DESIGN.md §10) and still print byte-identical figures. With -trace FILE, every
+// stored on disk and reused across invocations. With -trace FILE, every
 // cell records its window-management events and the run writes one
 // Chrome trace_event JSON file (open it in chrome://tracing or
 // Perfetto); tracing only observes, so the printed tables are
@@ -23,21 +21,17 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"cyclicwin/internal/check"
-	"cyclicwin/internal/cluster"
 	"cyclicwin/internal/core"
 	"cyclicwin/internal/fault"
 	"cyclicwin/internal/harness"
-	"cyclicwin/internal/netfault"
 	"cyclicwin/internal/obs"
 	"cyclicwin/internal/regwin"
 	"cyclicwin/internal/sched"
@@ -52,8 +46,6 @@ func main() {
 	parallel := flag.Bool("parallel", true, "run sweep cells concurrently on a worker pool")
 	workers := flag.Int("workers", 0, "pool size when -parallel (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cachedir", "", "reuse completed cells from this on-disk result store")
-	clusterAddrs := flag.String("cluster", "", "comma-separated winsimd worker URLs; sweep cells shard across them by content hash")
-	clusterDiscover := flag.Bool("clusterdiscover", true, "with -cluster: ask the listed workers for the full member list")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	maxCycles := flag.Uint64("maxcycles", 0, "per-simulation cycle budget; a cell exceeding it aborts with a diagnostic (0 = off)")
@@ -64,35 +56,9 @@ func main() {
 	checkRuns := flag.Int("checkruns", 8, "with -check: seeded random sequences per configuration variant")
 	checkLen := flag.Int("checklen", 400, "with -check: length of each random sequence")
 	checkSeed := flag.Uint64("checkseed", 1, "with -check: base seed for the random sequences")
-	netfaultSpec := flag.String("netfault", "", "with -cluster: inject seeded network faults into outbound requests, e.g. \"seed=42,drop=0.1,delay=30ms:0.25,corrupt=0.05\" (empty = off)")
-	budget := flag.Duration("budget", 0, "with -cluster: per-sweep routing deadline; cells past it skip the network and run inline (0 = none)")
-	leakCheck := flag.Bool("leakcheck", false, "verify at exit that no goroutines outlive the run (chaos-harness assertion)")
 	policyFlag := flag.String("policy", "", "override the scheduling policy of every sweep cell: FIFO, WS or PRIO (default: each experiment's own)")
 	quantum := flag.Uint64("quantum", 0, "preemptive time-slice in cycles applied to every sweep cell (0 = the paper's non-preemptive scheduling)")
 	flag.Parse()
-
-	if *leakCheck {
-		// Registered before any worker pool or cluster node exists, so
-		// this runs after their deferred Closes: anything still alive then
-		// is a genuine leak.
-		baseline := runtime.NumGoroutine()
-		defer func() {
-			deadline := time.Now().Add(3 * time.Second)
-			n := runtime.NumGoroutine()
-			for n > baseline && time.Now().Before(deadline) {
-				if tr, ok := http.DefaultTransport.(*http.Transport); ok {
-					tr.CloseIdleConnections() // idle keep-alives are not leaks
-				}
-				time.Sleep(25 * time.Millisecond)
-				n = runtime.NumGoroutine()
-			}
-			if n > baseline {
-				fmt.Fprintf(os.Stderr, "winsim: leakcheck: %d goroutines at exit, %d at start\n", n, baseline)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "winsim: leakcheck: clean (%d goroutines)\n", n)
-		}()
-	}
 
 	if *checkRun {
 		os.Exit(runCheck(*checkDepth, *checkRuns, *checkLen, *checkSeed))
@@ -165,63 +131,10 @@ func main() {
 		chrome = &obs.ChromeTrace{}
 	}
 	if *maxCycles > 0 || *faultSeed != 0 || chrome != nil {
-		if *clusterAddrs != "" {
-			fmt.Fprintln(os.Stderr, "winsim: -cluster is incompatible with -maxcycles, -faultseed and -trace (their results must not come from a cache)")
-			os.Exit(2)
-		}
 		*parallel = false
 		runner = serialRunner(*maxCycles, *faultSeed, chrome)
 	}
-	switch {
-	case *clusterAddrs != "":
-		// Distributed sweep: shard cells across the winsimd workers by
-		// content hash, peer-filling this process's cache from theirs.
-		// Cells whose every owner is unreachable run inline, so a sweep
-		// always completes. Determinism makes the routing invisible: the
-		// printed figures are byte-identical to the serial path.
-		members := clusterWorkers(*clusterAddrs, *clusterDiscover)
-		cache, err := simsvc.NewCache(0, *cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
-			os.Exit(1)
-		}
-		nf, err := netfault.FromSpec(*netfaultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
-			os.Exit(2)
-		}
-		nodeCfg := cluster.NodeConfig{
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "winsim: "+format+"\n", args...)
-			},
-		}
-		if nf != nil {
-			nodeCfg.Transport = nf
-			fmt.Fprintf(os.Stderr, "winsim: netfault armed: %s\n", *netfaultSpec)
-		}
-		node := cluster.NewNode("", members, nodeCfg)
-		defer node.Close()
-		node.StartProber()
-		cache.SetRemote(node.PeerCache())
-		coord := cluster.NewCoordinator(node, cluster.CoordinatorConfig{Cache: cache, SweepTimeout: *budget})
-		runner = coord.Runner()
-		defer func() {
-			snap := node.Metrics().Snapshot()
-			var routed uint64
-			for _, n := range snap.Routed {
-				routed += n
-			}
-			fmt.Fprintf(os.Stderr, "winsim: cluster — %d cells routed across %d workers, %d retried, %d inline, %d peer fills\n",
-				routed, len(members), snap.Retried, snap.Local, snap.PeerFills)
-			fmt.Fprintf(os.Stderr, "winsim: resilience — %d peer rejects, %d hedges (%d won), %d cells past the sweep budget\n",
-				snap.PeerRejects, snap.Hedges, snap.HedgeWins, snap.DeadlineExpired)
-			if nf != nil {
-				st := nf.Stats()
-				fmt.Fprintf(os.Stderr, "winsim: netfault — %d requests: %d dropped, %d delayed, %d cut, %d 5xx, %d truncated, %d corrupted\n",
-					st.Requests, st.Dropped, st.Delayed, st.Cut, st.Injected, st.Truncated, st.Corrupted)
-			}
-		}()
-	case *parallel:
+	if *parallel {
 		cache, err := simsvc.NewCache(0, *cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
@@ -233,9 +146,9 @@ func main() {
 	}
 
 	// -policy and -quantum rewrite every sweep cell before it reaches
-	// the runner. Rewritten specs hash differently, so caches and
-	// cluster routing stay sound; the defaults leave every cell
-	// untouched and the published figures byte-identical.
+	// the runner. Rewritten specs hash differently, so caches stay
+	// sound; the defaults leave every cell untouched and the published
+	// figures byte-identical.
 	if *policyFlag != "" || *quantum > 0 {
 		var pol sched.Policy
 		havePol := false
@@ -307,46 +220,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *traceOut)
 	}
-}
-
-// clusterWorkers expands the -cluster flag into a worker list: the
-// comma-separated addresses, plus (with -clusterdiscover) every member
-// the reachable ones report, so a single seed address is enough to
-// address a whole cluster.
-func clusterWorkers(addrs string, discover bool) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(addr string) {
-		if addr = cluster.NormalizeAddr(addr); addr != "" && !seen[addr] {
-			seen[addr] = true
-			out = append(out, addr)
-		}
-	}
-	seeds := strings.Split(addrs, ",")
-	for _, s := range seeds {
-		add(s)
-	}
-	if discover {
-		for _, s := range seeds {
-			s = cluster.NormalizeAddr(s)
-			if s == "" {
-				continue
-			}
-			members, err := cluster.Discover(s, 0)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "winsim: discovering members via %s: %v\n", s, err)
-				continue
-			}
-			for _, m := range members {
-				add(m)
-			}
-		}
-	}
-	if len(out) == 0 {
-		fmt.Fprintln(os.Stderr, "winsim: -cluster lists no usable worker addresses")
-		os.Exit(2)
-	}
-	return out
 }
 
 // runCheck runs the differential model checker over its windows 3..8 ×

@@ -6,25 +6,24 @@
 //
 //	winsimd [-addr :8091] [-workers N] [-cachedir DIR] [-cachesize N]
 //	        [-timeout 10m] [-maxqueue 256] [-clientqueue N] [-maxqueuecost N]
-//	        [-reqtimeout 2m] [-node URL] [-peers URL,URL] [-join URL]
+//	        [-reqtimeout 2m] [-drain 30s] [-pprof]
 //
-// Several winsimd processes form a cluster: -peers lists the other
-// members statically, or -join announces this node to a running member
-// and learns the membership from it. Cluster members shard experiment
-// cells across the ring by content hash and answer each other's cache
-// misses over GET /v1/cache/{hash} before recomputing anything.
+// One process serves everything: a named experiment runs its sweep
+// cells on one worker through the shared cache, and concurrent jobs
+// spread across the workers.
 //
 // Endpoints:
 //
 //	POST /v1/jobs             submit a spec or batch (?wait=1 blocks for results)
 //	GET  /v1/jobs/{id}        job status and result
 //	GET  /v1/jobs/{id}/trace  Chrome trace of a cell submitted with "trace": true
-//	GET  /v1/cache/{hash}     locally cached result by content hash (peer fill)
 //	GET  /v1/experiments      experiment catalog
-//	GET  /v1/cluster/join     POST: announce a member; GET /v1/cluster/members lists them
 //	GET  /healthz             liveness
 //	GET  /metrics             Prometheus text exposition (?format=json for JSON)
 //	GET  /debug/pprof/        live profiling (only with -pprof)
+//
+// Every JSON response carries X-Content-Sha256, the hex SHA-256 of its
+// body.
 //
 // On SIGINT/SIGTERM the server stops accepting connections and drains
 // in-flight jobs before exiting; a second signal aborts immediately.
@@ -40,38 +39,11 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"cyclicwin/internal/cluster"
-	"cyclicwin/internal/netfault"
 	"cyclicwin/internal/simsvc"
 )
-
-// selfURL derives the node's advertised URL from the listen address
-// when -node is not given: ":8091" → "http://127.0.0.1:8091".
-func selfURL(addr string) string {
-	host, port := "127.0.0.1", ""
-	if i := strings.LastIndex(addr, ":"); i >= 0 {
-		if h := addr[:i]; h != "" && h != "0.0.0.0" && h != "[::]" {
-			host = h
-		}
-		port = addr[i+1:]
-	}
-	return cluster.NormalizeAddr(host + ":" + port)
-}
-
-// splitPeers parses a comma-separated peer list, normalizing each.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = cluster.NormalizeAddr(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 func main() {
 	addr := flag.String("addr", ":8091", "listen address")
@@ -85,11 +57,6 @@ func main() {
 	reqTimeout := flag.Duration("reqtimeout", 2*time.Minute, "per-request deadline, including ?wait=1 blocking (0 = none)")
 	drainFor := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 	enablePprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	nodeURL := flag.String("node", "", "advertised URL of this node (default derived from -addr)")
-	peers := flag.String("peers", "", "comma-separated URLs of the other cluster members")
-	join := flag.String("join", "", "URL of a running member to announce this node to")
-	netfaultSpec := flag.String("netfault", "", "inject seeded network faults into this node's outbound requests, e.g. \"seed=42,drop=0.1,delay=30ms:0.25,corrupt=0.05\" (empty = off)")
-	sweepBudget := flag.Duration("sweepbudget", 0, "per-sweep routing deadline for distributed experiments; expired cells run inline (0 = none)")
 	flag.Parse()
 
 	cache, err := simsvc.NewCache(*cacheSize, *cacheDir)
@@ -97,62 +64,17 @@ func main() {
 		log.Fatalf("winsimd: %v", err)
 	}
 
-	self := *nodeURL
-	if self == "" {
-		self = selfURL(*addr)
-	}
-	nf, err := netfault.FromSpec(*netfaultSpec)
-	if err != nil {
-		log.Fatalf("winsimd: %v", err)
-	}
-	nodeCfg := cluster.NodeConfig{
-		Logf: log.Printf,
-	}
-	if nf != nil {
-		nodeCfg.Transport = nf
-		log.Printf("winsimd: netfault armed: %s", *netfaultSpec)
-	}
-	node := cluster.NewNode(self, splitPeers(*peers), nodeCfg)
-	defer node.Close()
-	cache.SetRemote(node.PeerCache())
-
-	clustered := *peers != "" || *join != ""
-	var coord *cluster.Coordinator
-	poolCfg := simsvc.PoolConfig{
+	pool := simsvc.NewPool(simsvc.PoolConfig{
 		Workers:        *workers,
 		JobTimeout:     *timeout,
 		MaxQueue:       *maxQueue,
 		PerClientQueue: *clientQueue,
 		MaxQueueCost:   *maxQueueCost,
 		Cache:          cache,
-	}
-	if clustered {
-		// In a cluster, named experiments fan their cells out across the
-		// ring instead of running them all on this node's pool.
-		coord = cluster.NewCoordinator(node, cluster.CoordinatorConfig{
-			Cache:        cache,
-			CellTimeout:  *timeout,
-			SweepTimeout: *sweepBudget,
-			Logf:         log.Printf,
-		})
-		poolCfg.CellRunner = coord.Runner()
-	}
-	pool := simsvc.NewPool(poolCfg)
-	if coord != nil {
-		// Inline (self-owned) cells still count toward this node's
-		// simulation metrics.
-		coord.OnLocalCell = pool.ObserveSim
-	}
+	})
 
 	api := simsvc.NewServer(pool)
 	api.SetRequestTimeout(*reqTimeout)
-	api.Handle("POST /v1/cluster/join", node.HandleJoin)
-	api.Handle("GET /v1/cluster/members", node.HandleMembers)
-	api.AddMetricsWriter(node.WritePrometheus)
-	node.StartProber()
-	if *join != "" {
-		node.JoinLoop(cluster.NormalizeAddr(*join), 0)
-	}
 	var handler http.Handler = api
 	if *enablePprof {
 		// Off by default: the profile endpoints expose internals and cost

@@ -15,3 +15,12 @@ func TestMain(m *testing.M) {
 	core.SetInvariantChecks(true)
 	os.Exit(m.Run())
 }
+
+// benchWithoutAudit turns the audit off until the benchmark ends, so
+// the benchmark times the simulator rather than the audit's
+// per-operation verify.
+func benchWithoutAudit(b *testing.B) {
+	audit := core.InvariantChecksEnabled()
+	core.SetInvariantChecks(false)
+	b.Cleanup(func() { core.SetInvariantChecks(audit) })
+}

@@ -159,6 +159,7 @@ func TestTracerDecoratorParity(t *testing.T) {
 // tracer attached, so every instrumented operation takes the nil-hook
 // fast path.
 func BenchmarkSpellCellUntraced(b *testing.B) {
+	benchWithoutAudit(b)
 	bh, _ := BehaviorByName("high-fine")
 	sz := Sizes{Draft: 2000, Dict: 3001}
 	b.ResetTimer()
@@ -175,6 +176,7 @@ func BenchmarkSpellCellUntraced(b *testing.B) {
 // BenchmarkSpellCellTraced runs the same cell with a ring tracer
 // attached, for comparison against the untraced baseline.
 func BenchmarkSpellCellTraced(b *testing.B) {
+	benchWithoutAudit(b)
 	bh, _ := BehaviorByName("high-fine")
 	sz := Sizes{Draft: 2000, Dict: 3001}
 	b.ResetTimer()

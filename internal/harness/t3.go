@@ -15,7 +15,7 @@ import (
 // deterministic migration — the configurations the paper's Section 6
 // points at ("the scheme comparison at many threads") but could not
 // run on 1993 hardware. Cells stay pure functions of their spec, so the
-// same Runner machinery (pool, cache, cluster) serves them.
+// same Runner machinery (pool, cache) serves them.
 
 // t3Depth is the call-chain depth per pipeline hop: every item charges
 // this many windows on every stage it crosses.

@@ -120,6 +120,7 @@ func TestT3Smoke(t *testing.T) {
 // BenchmarkT3Cell measures one 256-thread chain cell per scheme — the
 // heaviest single point of the t3threads crossover figure.
 func BenchmarkT3Cell(b *testing.B) {
+	benchWithoutAudit(b)
 	for _, s := range core.Schemes {
 		b.Run(s.String(), func(b *testing.B) {
 			c := CellSpec{Scheme: s, Windows: 32, Policy: sched.FIFO, Sizes: QuickSizes, Threads: 256}
@@ -135,6 +136,7 @@ func BenchmarkT3Cell(b *testing.B) {
 // configuration of the t3migration figure at its most migration-heavy
 // point (a forced flush every other dispatch).
 func BenchmarkT3MigratingCell(b *testing.B) {
+	benchWithoutAudit(b)
 	for _, s := range core.Schemes {
 		b.Run(s.String(), func(b *testing.B) {
 			c := CellSpec{

@@ -59,6 +59,11 @@ func TestWakeSteadyStateNoAlloc(t *testing.T) {
 // BenchmarkWake256 measures the Wake path at T3 thread counts; run with
 // -benchmem to see the zero steady-state allocation.
 func BenchmarkWake256(b *testing.B) {
+	// TestMain arms the invariant audit for this binary; it is off
+	// while measuring, as in BenchmarkYieldHandoff.
+	audit := core.InvariantChecksEnabled()
+	core.SetInvariantChecks(false)
+	defer core.SetInvariantChecks(audit)
 	k := newKernel(core.SchemeSP, 8, WorkingSet)
 	tcbs := make([]*TCB, 256)
 	for i := range tcbs {

@@ -11,24 +11,11 @@ import (
 	"sync"
 )
 
-// RemoteCache is a pluggable third cache tier consulted after memory
-// and disk both miss — internal/cluster provides an HTTP peer-fill
-// backend over GET /v1/cache/{hash}, so any node can serve any cached
-// cell before anyone recomputes it. Fetch returns the result and true
-// on a remote hit; implementations must be safe for concurrent use and
-// should bound their own latency (a slow remote tier stalls a cache
-// miss, never a hit).
-type RemoteCache interface {
-	Fetch(ctx context.Context, key string) (*JobResult, bool)
-}
-
 // Cache is the content-addressed result store: an in-memory LRU over
 // spec hashes, optionally backed by a directory of one JSON file per
 // entry so results survive restarts and can be shared between the CLI
-// and the daemon, and optionally by a RemoteCache tier (peer fill) so
-// results computed anywhere in a cluster are served everywhere.
-// Simulations are deterministic, so entries never expire; eviction is
-// purely a memory bound.
+// and the daemon. Simulations are deterministic, so entries never
+// expire; eviction is purely a memory bound.
 //
 // The write discipline is single-writer-per-key by construction (a key
 // is the hash of the job that produced the value, and any two writers
@@ -42,18 +29,14 @@ type Cache struct {
 	entries map[string]*list.Element
 	dir     string
 
-	remote RemoteCache // optional peer-fill tier under memory and disk
-
 	// flights coalesces concurrent misses on the same key: the first
-	// caller (the leader) runs the disk-load + peer-fetch path once and
+	// caller (the leader) reads and decodes the disk entry once and
 	// every concurrent caller waits for its answer, so a cold key costs
-	// one disk read and one peer fetch no matter how many requests race
-	// on it.
+	// one disk read no matter how many requests race on it.
 	flights map[string]*cacheFlight
 
 	hits      uint64 // in-memory hits
 	diskHits  uint64 // misses answered by the disk store
-	peerHits  uint64 // misses answered by the remote tier
 	coalesced uint64 // callers answered by joining another caller's flight
 	misses    uint64
 }
@@ -98,38 +81,14 @@ func NewCache(max int, dir string) (*Cache, error) {
 	}, nil
 }
 
-// SetRemote installs the peer-fill tier consulted by Get after memory
-// and disk both miss. Configure it before the cache is shared across
-// goroutines.
-func (c *Cache) SetRemote(rc RemoteCache) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.remote = rc
-	c.mu.Unlock()
-}
-
 // Get returns the cached result for the key, consulting memory, then
-// the disk store, then the remote peer-fill tier. Disk and peer hits
-// are promoted into memory (and peer hits written through to disk), so
-// a cell fetched once keeps being served locally. The caller's context
-// bounds the remote tier: a job deadline or cancellation propagates
-// into the peer-fill fetch instead of being dropped at this boundary
-// (the local tiers never block, so they ignore it).
+// the disk store; a disk hit is promoted into memory, so a cell read
+// once keeps being served from memory. Concurrent misses on one key
+// share a single disk read: the first caller fills, the rest wait for
+// its answer. The context bounds only that wait — a caller whose ctx
+// ends while another caller's fill is in flight returns a miss — and
+// a memory hit is served whatever the context.
 func (c *Cache) Get(ctx context.Context, key string) (*JobResult, bool) {
-	return c.get(ctx, key, true)
-}
-
-// GetLocal is Get restricted to the local tiers (memory and disk). It
-// backs the GET /v1/cache/{hash} peer-fill endpoint: a peer answering a
-// peer must never consult its own remote tier, or two nodes missing the
-// same key would chase each other forever.
-func (c *Cache) GetLocal(key string) (*JobResult, bool) {
-	return c.get(context.Background(), key, false)
-}
-
-func (c *Cache) get(ctx context.Context, key string, allowRemote bool) (*JobResult, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -141,65 +100,33 @@ func (c *Cache) get(ctx context.Context, key string, allowRemote bool) (*JobResu
 		c.mu.Unlock()
 		return v, true
 	}
-	remote := c.remote
-
-	// Coalescing covers only the remote-allowed path: GetLocal backs the
-	// peer-fill endpoint, and a peer's answer must never wait on a flight
-	// that is itself fetching from peers — two nodes missing the same key
-	// would deadlock on each other's flights.
-	if allowRemote {
-		if f, ok := c.flights[key]; ok {
-			c.coalesced++
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-				return f.v, f.ok
-			case <-ctx.Done():
-				return nil, false
-			}
+	if f, ok := c.flights[key]; ok {
+		c.coalesced++
+		c.mu.Unlock()
+		select {
+		case <-f.done:
+			return f.v, f.ok
+		case <-ctx.Done():
+			return nil, false
 		}
-		f := &cacheFlight{done: make(chan struct{})}
-		c.flights[key] = f
-		c.mu.Unlock()
-		v, ok := c.fill(ctx, key, remote, allowRemote)
-		c.mu.Lock()
-		delete(c.flights, key)
-		c.mu.Unlock()
-		f.v, f.ok = v, ok
-		close(f.done)
-		return v, ok
 	}
+	f := &cacheFlight{done: make(chan struct{})}
+	c.flights[key] = f
 	c.mu.Unlock()
-	return c.fill(ctx, key, remote, allowRemote)
-}
 
-// fill runs the cold-lookup tiers (disk, then remote) for one key and
-// accounts the outcome. At most one Get runs fill per key at a time;
-// GetLocal callers bypass the flight.
-func (c *Cache) fill(ctx context.Context, key string, remote RemoteCache, allowRemote bool) (*JobResult, bool) {
-	if v, ok := c.loadDisk(key); ok {
-		c.mu.Lock()
+	v, ok := c.loadDisk(key)
+	c.mu.Lock()
+	if ok {
 		c.diskHits++
 		c.insertLocked(key, v)
-		c.mu.Unlock()
-		return v, true
+	} else {
+		c.misses++
 	}
-
-	if allowRemote && remote != nil && ctx.Err() == nil {
-		if v, ok := remote.Fetch(ctx, key); ok && v != nil {
-			c.mu.Lock()
-			c.peerHits++
-			c.insertLocked(key, v)
-			c.mu.Unlock()
-			c.storeDisk(key, v)
-			return v, true
-		}
-	}
-
-	c.mu.Lock()
-	c.misses++
+	delete(c.flights, key)
 	c.mu.Unlock()
-	return nil, false
+	f.v, f.ok = v, ok
+	close(f.done)
+	return v, ok
 }
 
 // Put stores the result under the key, in memory and (when configured)
@@ -312,15 +239,14 @@ type CacheStats struct {
 	Entries   int    `json:"entries"`
 	Hits      uint64 `json:"hits"`      // in-memory hits
 	DiskHits  uint64 `json:"disk_hits"` // served from the disk store
-	PeerHits  uint64 `json:"peer_hits"` // served by the remote peer-fill tier
 	Coalesced uint64 `json:"coalesced"` // joined an in-flight cold lookup
 	Misses    uint64 `json:"misses"`
 }
 
-// HitRatio is (hits+disk hits+peer hits) / lookups, 0 with no lookups.
+// HitRatio is (hits+disk hits) / lookups, 0 with no lookups.
 // Coalesced callers are excluded from both sides.
 func (s CacheStats) HitRatio() float64 {
-	served := s.Hits + s.DiskHits + s.PeerHits
+	served := s.Hits + s.DiskHits
 	total := served + s.Misses
 	if total == 0 {
 		return 0
@@ -339,7 +265,6 @@ func (c *Cache) Stats() CacheStats {
 		Entries:   c.ll.Len(),
 		Hits:      c.hits,
 		DiskHits:  c.diskHits,
-		PeerHits:  c.peerHits,
 		Coalesced: c.coalesced,
 		Misses:    c.misses,
 	}

@@ -152,3 +152,85 @@ func TestCacheDefaultSize(t *testing.T) {
 		t.Fatalf("entries = %d, want %d", s.Entries, DefaultCacheEntries)
 	}
 }
+
+// TestCacheTruncatedDiskEntryDeleted is the regression test for
+// truncated disk entries: a partially written file must read as a miss
+// and be deleted — not re-parsed as garbage on every later lookup.
+func TestCacheTruncatedDiskEntryDeleted(t *testing.T) {
+	dir := t.TempDir()
+	key := "abc123"
+
+	c1, err := NewCache(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.Put(key, &JobResult{Spec: JobSpec{Experiment: ExperimentCell}})
+	path := filepath.Join(dir, key+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("Put did not write the disk entry: %v", err)
+	}
+
+	// Truncate mid-JSON, as an interrupted writer without the
+	// write-then-rename discipline (or a disk fault) would leave it.
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := NewCache(0, dir) // fresh cache: no in-memory copy
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c2.Get(context.Background(), key); ok {
+		t.Fatal("a truncated disk entry was served as a hit")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("the corrupt entry was not deleted (stat err: %v)", err)
+	}
+	if s := c2.Stats(); s.Misses != 1 || s.DiskHits != 0 {
+		t.Errorf("stats = %+v, want exactly one miss", s)
+	}
+
+	// The slot is fully recovered: a recompute stores cleanly.
+	c2.Put(key, &JobResult{Spec: JobSpec{Experiment: ExperimentCell}})
+	c3, _ := NewCache(0, dir)
+	if _, ok := c3.Get(context.Background(), key); !ok {
+		t.Fatal("the rewritten entry does not load")
+	}
+}
+
+// TestCacheCrashLeftoverTmpIgnored is the torn-write regression test
+// for the fsync-rename store discipline: a writer that died between
+// creating the temp file and the rename leaves only "<key>.json.tmp"
+// behind. That leftover must never be served, must not block a clean
+// rewrite of the entry, and the final store file must appear complete.
+func TestCacheCrashLeftoverTmpIgnored(t *testing.T) {
+	dir := t.TempDir()
+	key := "feedface01"
+	tmp := filepath.Join(dir, key+".json.tmp")
+
+	// Simulate the crash: a half-written temp file, no final file.
+	if err := os.WriteFile(tmp, []byte(`{"spec":{"experi`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := NewCache(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(context.Background(), key); ok {
+		t.Fatal("a crash leftover .tmp file was served as the entry")
+	}
+
+	// A recompute stores cleanly over the leftover.
+	want := &JobResult{Spec: JobSpec{Experiment: ExperimentCell, Scheme: "SP", Windows: 8, Behavior: "high-fine"}.Normalize()}
+	c.Put(key, want)
+	if _, err := os.Stat(filepath.Join(dir, key+".json")); err != nil {
+		t.Fatalf("the rewritten entry is missing: %v", err)
+	}
+	c2, _ := NewCache(0, dir)
+	got, ok := c2.Get(context.Background(), key)
+	if !ok || got.Spec.Scheme != "SP" {
+		t.Fatalf("the rewritten entry does not load: %+v, %v", got, ok)
+	}
+}

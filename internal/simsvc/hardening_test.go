@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -341,74 +339,6 @@ func TestRequestTimeout(t *testing.T) {
 	resp, _ := postJSON(t, ts.URL+"/v1/jobs?wait=1", string(body))
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("deadline-bounded wait = %d, want 504", resp.StatusCode)
-	}
-}
-
-// TestClientRetriesTransientFailures drives the retrying client
-// against a scripted server: two 429s (with Retry-After) then success.
-// A deterministic 422 must NOT be retried.
-func TestClientRetriesTransientFailures(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := calls.Add(1)
-		if n <= 2 {
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprint(w, `{"error":"simsvc: pool saturated"}`)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprint(w, `{"jobs":[{"id":"j000001","status":"done"}]}`)
-	}))
-	t.Cleanup(ts.Close)
-
-	c := NewClient(ts.URL)
-	c.BaseBackoff = time.Millisecond
-	v, err := c.Submit(context.Background(), cellSpec(), true)
-	if err != nil {
-		t.Fatalf("client gave up on a recoverable server: %v", err)
-	}
-	if v.ID != "j000001" || calls.Load() != 3 {
-		t.Errorf("got view %+v after %d calls, want j000001 after 3", v, calls.Load())
-	}
-
-	calls.Store(0)
-	ts2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		fmt.Fprint(w, `{"error":"simsvc: guest fault: cycle budget exceeded"}`)
-	}))
-	t.Cleanup(ts2.Close)
-	c2 := NewClient(ts2.URL)
-	c2.BaseBackoff = time.Millisecond
-	_, err = c2.Submit(context.Background(), cellSpec(), true)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("deterministic failure returned %v, want a 422 APIError", err)
-	}
-	if calls.Load() != 1 {
-		t.Errorf("client retried a deterministic 422 failure %d times", calls.Load()-1)
-	}
-}
-
-// TestClientGivesUpAfterMaxRetries bounds the retry loop.
-func TestClientGivesUpAfterMaxRetries(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprint(w, `{"error":"still broken"}`)
-	}))
-	t.Cleanup(ts.Close)
-	c := NewClient(ts.URL)
-	c.MaxRetries = 2
-	c.BaseBackoff = time.Millisecond
-	_, err := c.Submit(context.Background(), cellSpec(), false)
-	if err == nil || !strings.Contains(err.Error(), "giving up after 3 attempts") {
-		t.Fatalf("got %v, want a giving-up error after 3 attempts", err)
-	}
-	if calls.Load() != 3 {
-		t.Errorf("server saw %d calls, want 3", calls.Load())
 	}
 }
 

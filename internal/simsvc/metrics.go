@@ -462,7 +462,6 @@ func (m *shardedMetrics) snapshot(cs CacheStats) MetricsSnapshot {
 		CacheEntries:   cs.Entries,
 		CacheHits:      cs.Hits,
 		CacheDiskHits:  cs.DiskHits,
-		CachePeerHits:  cs.PeerHits,
 		CacheCoalesced: cs.Coalesced,
 		CacheMisses:    cs.Misses,
 		CacheHitRatio:  cs.HitRatio(),
@@ -511,7 +510,6 @@ type MetricsSnapshot struct {
 	CacheEntries   int     `json:"cache_entries"`
 	CacheHits      uint64  `json:"cache_hits"`
 	CacheDiskHits  uint64  `json:"cache_disk_hits"`
-	CachePeerHits  uint64  `json:"cache_peer_hits"`
 	CacheCoalesced uint64  `json:"cache_coalesced"`
 	CacheMisses    uint64  `json:"cache_misses"`
 	CacheHitRatio  float64 `json:"cache_hit_ratio"`

@@ -4,61 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"cyclicwin/internal/obs/promtest"
 )
-
-// TestBackoffLargeAttempts is the regression test for the int64
-// overflow: before MaxBackoff, base<<attempt went negative around
-// attempt 33 and the jitter draw panicked rng.Int63n.
-func TestBackoffLargeAttempts(t *testing.T) {
-	c := &Client{
-		BaseBackoff: 100 * time.Millisecond,
-		MaxBackoff:  30 * time.Second,
-		rng:         rand.New(rand.NewSource(1)),
-	}
-	// The ±20% jitter can stretch a capped delay to 1.2×MaxBackoff.
-	ceiling := c.MaxBackoff + c.MaxBackoff/5
-	for _, attempt := range []int{0, 1, 8, 33, 36, 62, 63, 64, 1000} {
-		d := c.backoff(attempt, 0) // would panic before the fix
-		if d < 0 || d > ceiling {
-			t.Fatalf("backoff(%d) = %v, want within [0, %v]", attempt, d, ceiling)
-		}
-	}
-	if got := c.backoff(40, 5*time.Second); got < 5*time.Second {
-		t.Fatalf("backoff must respect the Retry-After floor: got %v", got)
-	}
-}
-
-// TestBackoffExponentialCeiling pins the un-jittered schedule: doubling
-// from BaseBackoff, capped exactly at MaxBackoff for every attempt that
-// would overshoot (or overflow) it.
-func TestBackoffExponentialCeiling(t *testing.T) {
-	c := &Client{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 30 * time.Second}
-	cases := []struct {
-		attempt int
-		want    time.Duration
-	}{
-		{0, 100 * time.Millisecond},
-		{1, 200 * time.Millisecond},
-		{8, 25600 * time.Millisecond},
-		{9, 30 * time.Second}, // 51.2s capped
-		{33, 30 * time.Second},
-		{63, 30 * time.Second},
-		{1000, 30 * time.Second},
-	}
-	for _, tc := range cases {
-		if got := c.backoff(tc.attempt, 0); got != tc.want {
-			t.Errorf("backoff(%d) = %v, want %v", tc.attempt, got, tc.want)
-		}
-	}
-}
 
 // TestPrometheusExposition runs one real cell through the server, then
 // scrapes /metrics and validates the text exposition end to end: format

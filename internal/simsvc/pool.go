@@ -201,13 +201,6 @@ type PoolConfig struct {
 	// Cache, when non-nil, answers repeated specs without re-running
 	// and stores every completed result.
 	Cache *Cache
-	// CellRunner, when non-nil, executes the sweep cells of named
-	// experiments instead of the default cached serial path — how a
-	// clustered winsimd fans a submitted figure out across its peers
-	// (internal/cluster provides the implementation). Single-cell jobs
-	// always run locally: the coordinator already routed them here, and
-	// re-routing would bounce cells between owners forever.
-	CellRunner harness.Runner
 }
 
 // Pool executes jobs on a fixed set of workers with an unbounded FIFO
@@ -283,14 +276,6 @@ func (p *Pool) Metrics() MetricsSnapshot {
 	return s
 }
 
-// ObserveSim folds one freshly simulated cell's counters into the
-// per-scheme simulation metrics — the same accounting the pool applies
-// to its own cells, exported so an external cell runner (the cluster
-// coordinator running a cell inline) keeps winsim_* families exact.
-func (p *Pool) ObserveSim(scheme string, c *stats.Counters) {
-	p.metrics.simObserved(scheme, c)
-}
-
 // Submit validates and enqueues a spec. A cached result returns an
 // already-terminal job; a spec identical to one still in flight
 // returns that in-flight job instead of queueing a duplicate.
@@ -323,9 +308,8 @@ func (p *Pool) SubmitFrom(client string, spec JobSpec) (*Job, error) {
 	id := fmt.Sprintf("j%06d", p.seq)
 	p.mu.Unlock()
 
-	// Submission-time lookups carry no request deadline (the job, once
-	// accepted, outlives its submitter); the remote tier bounds itself
-	// with its own per-fetch timeout.
+	// Submission-time lookups carry no request deadline: the job, once
+	// accepted, outlives its submitter.
 	if res, ok := p.cfg.Cache.Get(context.Background(), hash); ok {
 		j := &Job{id: id, hash: hash, spec: spec, submitted: time.Now(), done: make(chan struct{})}
 		j.cacheHit = true
@@ -555,10 +539,7 @@ func (p *Pool) execute(spec JobSpec) (*JobResult, error) {
 // experiment's JobResult carries the same totals regardless of cache
 // state.
 func (p *Pool) countingRunner(agg *stats.Counters) harness.Runner {
-	inner := p.cfg.CellRunner
-	if inner == nil {
-		inner = p.cachedSerialRunner()
-	}
+	inner := p.cachedSerialRunner()
 	return func(cells []harness.CellSpec) []harness.Result {
 		out := inner(cells)
 		for i := range out {

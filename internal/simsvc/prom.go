@@ -61,7 +61,6 @@ func (p *Pool) WritePrometheus(w io.Writer) error {
 	pw.Header("winsimd_cache_hits_total", "Cache hits by tier.", "counter")
 	pw.Sample("winsimd_cache_hits_total", obs.L("tier", "memory"), float64(snap.CacheHits))
 	pw.Sample("winsimd_cache_hits_total", obs.L("tier", "disk"), float64(snap.CacheDiskHits))
-	pw.Sample("winsimd_cache_hits_total", obs.L("tier", "peer"), float64(snap.CachePeerHits))
 	pw.Header("winsimd_cache_misses_total", "Cache misses.", "counter")
 	pw.Sample("winsimd_cache_misses_total", nil, float64(snap.CacheMisses))
 	pw.Header("winsimd_cache_coalesced_total", "Cold lookups answered by joining another caller's in-flight fetch.", "counter")

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -22,8 +21,6 @@ import (
 //	POST /v1/jobs               submit one spec or a batch; ?wait=1 blocks
 //	GET  /v1/jobs/{id}          job status, including the result when done
 //	GET  /v1/jobs/{id}/trace    Chrome trace_event JSON of a traced cell
-//	GET  /v1/cache/{hash}       a locally cached result by content hash
-//	                            (the cluster peer-fill endpoint)
 //	GET  /v1/experiments        the experiment catalog
 //	GET  /healthz               liveness (503 + status when degraded)
 //	GET  /metrics               Prometheus text exposition; JSON with
@@ -35,11 +32,10 @@ import (
 // a recovery barrier, so a bug serves an error instead of killing the
 // connection or the process).
 type Server struct {
-	pool           *Pool
-	mux            *http.ServeMux
-	start          time.Time
-	reqTimeout     time.Duration
-	metricsWriters []func(io.Writer) error
+	pool       *Pool
+	mux        *http.ServeMux
+	start      time.Time
+	reqTimeout time.Duration
 }
 
 // NewServer builds the handler tree over the pool.
@@ -48,26 +44,10 @@ func NewServer(pool *Pool) *Server {
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
-	s.mux.HandleFunc("GET /v1/cache/{hash}", s.handleCacheGet)
 	s.mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
-}
-
-// Handle registers an extra route on the server's mux (same pattern
-// syntax as net/http) — how cmd/winsimd mounts the cluster membership
-// endpoints without simsvc depending on internal/cluster. Register
-// before serving begins.
-func (s *Server) Handle(pattern string, h http.HandlerFunc) {
-	s.mux.HandleFunc(pattern, h)
-}
-
-// AddMetricsWriter appends an extra section to the Prometheus text
-// exposition served on GET /metrics (the cluster families ride here).
-// Register before serving begins.
-func (s *Server) AddMetricsWriter(f func(io.Writer) error) {
-	s.metricsWriters = append(s.metricsWriters, f)
 }
 
 // SetRequestTimeout bounds every request's context (0 = unbounded).
@@ -103,10 +83,9 @@ const ClientIDHeader = "X-Client-ID"
 const ShedReasonHeader = "X-Shed-Reason"
 
 // ChecksumHeader carries the hex SHA-256 of a JSON response body.
-// Every writeJSON response attaches it, and the retrying client and
-// the cluster peer-fill tier verify it, so a body corrupted in flight
-// is rejected as a transport failure instead of being decoded into a
-// plausible-but-wrong result.
+// Every writeJSON response attaches it, so a client can tell a body
+// corrupted in flight from a plausible-but-wrong result before it
+// decodes anything.
 const ChecksumHeader = "X-Content-Sha256"
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -221,21 +200,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.View(true))
 }
 
-// handleCacheGet serves a locally cached result by content hash — the
-// cluster peer-fill endpoint. It reads only the local tiers (memory and
-// disk, never this node's own remote tier), so two nodes missing the
-// same key cannot recurse into each other. A miss is a plain 404: the
-// asking peer falls back to computing the cell itself.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	res, ok := s.pool.Cache().GetLocal(hash)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no cached result for %q", hash))
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
 func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 	list := Experiments()
 	out := make([]map[string]any, 0, len(list)+1)
@@ -316,10 +280,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	if err := s.pool.WritePrometheus(w); err != nil {
 		log.Printf("simsvc: writing /metrics: %v", err)
-	}
-	for _, f := range s.metricsWriters {
-		if err := f(w); err != nil {
-			log.Printf("simsvc: writing /metrics extension: %v", err)
-		}
 	}
 }

@@ -190,6 +190,7 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	for _, body := range []string{
 		`{"experiment":"nope"}`,
 		`{"experiment":"cell","scheme":"XX","windows":8,"behavior":"high-fine"}`,
+		`{"experiment":"cell","scheme":"SP","windows":8,"behavior":"high-fine","draft":-5}`,
 		`{}`,
 		`not json`,
 	} {

@@ -64,20 +64,40 @@ func TestCachedJobLatencyNonzero(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Satellite regression: concurrent cold gets on one key must coalesce
-// onto a single remote fetch.
+// Cache singleflight: concurrent cold gets on one key wait for the one
+// caller already filling it instead of each reading the disk.
 
-// countingRemote counts Fetch calls and serves every key after a short
-// hold, so concurrent callers genuinely overlap.
-type countingRemote struct {
-	fetches atomic.Int64
-	hold    time.Duration
+// openFlight registers an in-progress fill for key, exactly as the
+// leading Get does, and returns it; the test completes it with
+// finishFlight.
+func openFlight(c *Cache, key string) *cacheFlight {
+	f := &cacheFlight{done: make(chan struct{})}
+	c.mu.Lock()
+	c.flights[key] = f
+	c.mu.Unlock()
+	return f
 }
 
-func (r *countingRemote) Fetch(ctx context.Context, key string) (*JobResult, bool) {
-	r.fetches.Add(1)
-	time.Sleep(r.hold)
-	return &JobResult{Output: "remote:" + key}, true
+// finishFlight publishes the leader's answer and releases its waiters,
+// as the end of the leading Get does.
+func finishFlight(c *Cache, key string, f *cacheFlight, v *JobResult, ok bool) {
+	c.mu.Lock()
+	delete(c.flights, key)
+	c.mu.Unlock()
+	f.v, f.ok = v, ok
+	close(f.done)
+}
+
+// waitCoalesced polls until n callers have joined a flight.
+func waitCoalesced(t *testing.T, c *Cache, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().Coalesced < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("Coalesced = %d after 5s, want %d", c.Stats().Coalesced, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestCacheColdGetsCoalesce(t *testing.T) {
@@ -85,22 +105,21 @@ func TestCacheColdGetsCoalesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := &countingRemote{hold: 20 * time.Millisecond}
-	c.SetRemote(remote)
+	const key = "deadbeef"
+	f := openFlight(c, key)
 
 	const callers = 16
 	var (
-		start sync.WaitGroup
-		done  sync.WaitGroup
-		got   [callers]*JobResult
+		done     sync.WaitGroup
+		returned atomic.Int64
+		got      [callers]*JobResult
 	)
-	start.Add(1)
 	for i := 0; i < callers; i++ {
 		done.Add(1)
 		go func(i int) {
 			defer done.Done()
-			start.Wait()
-			v, ok := c.Get(context.Background(), "deadbeef")
+			v, ok := c.Get(context.Background(), key)
+			returned.Add(1)
 			if !ok {
 				t.Errorf("caller %d: cold get failed", i)
 				return
@@ -108,85 +127,67 @@ func TestCacheColdGetsCoalesce(t *testing.T) {
 			got[i] = v
 		}(i)
 	}
-	// Release all callers together; the remote's hold keeps the leader
-	// in flight while the followers arrive.
-	start.Done()
+	waitCoalesced(t, c, callers)
+	if n := returned.Load(); n != 0 {
+		t.Fatalf("%d callers returned while the flight was still open", n)
+	}
+
+	want := &JobResult{Output: "leader:" + key}
+	finishFlight(c, key, f, want, true)
 	done.Wait()
 
-	if n := remote.fetches.Load(); n != 1 {
-		t.Fatalf("RemoteCache.Fetch called %d times for one key, want exactly 1", n)
-	}
 	for i, v := range got {
-		if v == nil || v.Output != "remote:deadbeef" {
-			t.Fatalf("caller %d got %+v, want the coalesced remote result", i, v)
+		if v != want {
+			t.Fatalf("caller %d got %+v, want the leader's result", i, v)
 		}
 	}
 	st := c.Stats()
-	if st.PeerHits != 1 {
-		t.Errorf("PeerHits = %d, want 1", st.PeerHits)
+	if st.Coalesced != callers {
+		t.Errorf("Coalesced = %d, want %d", st.Coalesced, callers)
 	}
-	if st.Coalesced != callers-1 {
-		t.Errorf("Coalesced = %d, want %d", st.Coalesced, callers-1)
-	}
-	if st.Misses != 0 {
-		t.Errorf("Misses = %d, want 0", st.Misses)
+	if st.Hits != 0 || st.DiskHits != 0 || st.Misses != 0 {
+		t.Errorf("stats = %+v: waiters must count only as coalesced", st)
 	}
 }
 
-// TestCacheLocalGetBypassesFlights pins the deadlock guard: the
-// peer-fill endpoint's GetLocal must not join a flight that may itself
-// be waiting on a peer.
-func TestCacheLocalGetBypassesFlights(t *testing.T) {
+// TestCacheGetCancelledContext: the context bounds only the wait on
+// another caller's flight. A waiter whose context ends gives up with a
+// miss while the flight is still open; a memory hit is served whatever
+// the context.
+func TestCacheGetCancelledContext(t *testing.T) {
 	c, err := NewCache(0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := make(chan struct{})
-	c.SetRemote(remoteFunc(func(ctx context.Context, key string) (*JobResult, bool) {
-		<-release
-		return nil, false
-	}))
-
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		c.Get(context.Background(), "cafe") // leader, parked on the remote
-	}()
-	// Wait until the leader's flight is registered.
-	for i := 0; ; i++ {
-		c.mu.Lock()
-		_, inFlight := c.flights["cafe"]
-		c.mu.Unlock()
-		if inFlight {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("leader flight never registered")
-		}
-		time.Sleep(time.Millisecond)
+	f := openFlight(c, "k1")
+	ctx, cancel := context.WithCancel(context.Background())
+	type answer struct {
+		v  *JobResult
+		ok bool
 	}
-
-	// GetLocal must answer (miss) immediately instead of joining the
-	// parked flight.
-	done := make(chan struct{})
+	ch := make(chan answer, 1)
 	go func() {
-		defer close(done)
-		if _, ok := c.GetLocal("cafe"); ok {
-			t.Error("GetLocal reported a hit for an uncached key")
-		}
+		v, ok := c.Get(ctx, "k1")
+		ch <- answer{v, ok}
 	}()
+	waitCoalesced(t, c, 1)
+	cancel()
 	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("GetLocal blocked behind an in-flight remote fetch")
+	case a := <-ch:
+		if a.v != nil || a.ok {
+			t.Fatalf("cancelled waiter got (%+v, %v), want (nil, false)", a.v, a.ok)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled waiter still blocked on the open flight")
 	}
-	close(release)
-	<-leaderDone
+	finishFlight(c, "k1", f, nil, false)
+
+	want := &JobResult{Spec: JobSpec{Experiment: ExperimentCell}}
+	c.Put("k1", want)
+	if v, ok := c.Get(ctx, "k1"); !ok || v != want {
+		t.Fatalf("a cancelled Get missed the in-memory tier: (%+v, %v)", v, ok)
+	}
 }
-
-type remoteFunc func(ctx context.Context, key string) (*JobResult, bool)
-
-func (f remoteFunc) Fetch(ctx context.Context, key string) (*JobResult, bool) { return f(ctx, key) }
 
 // ---------------------------------------------------------------------
 // Admission tiers.
@@ -357,7 +358,7 @@ func TestShedReasonHeader(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Stress: Submit storm + /metrics scrapes + peer-fill cache reads,
+// Stress: Submit storm + /metrics scrapes + cache reads,
 // asserting the conservation invariant on every scrape. Run with
 // -race this doubles as the satellite "scrape never blocks a writer"
 // regression: the scrapers hammer snapshot() while every submitter and
@@ -436,9 +437,7 @@ func TestServingStressConservation(t *testing.T) {
 					return
 				default:
 				}
-				if resp, err := http.Get(srv.URL + "/v1/cache/" + hash); err == nil {
-					resp.Body.Close()
-				}
+				p.Cache().Get(context.Background(), hash)
 			}
 		}()
 	}

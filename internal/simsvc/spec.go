@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"cyclicwin/internal/core"
+	"cyclicwin/internal/corpus"
 	"cyclicwin/internal/harness"
 	"cyclicwin/internal/obs"
 	"cyclicwin/internal/regwin"
@@ -26,9 +27,13 @@ import (
 
 // MaxThreads and MaxCores bound the T3 cell admission: far above any
 // experiment here, far below anything that could stall the service.
+// MaxTextBytes bounds the draft and dictionary sizes of every spec at
+// about 25 times the paper's 40,500-byte draft, so one request cannot
+// make the service generate gigabytes of corpus text.
 const (
-	MaxThreads = 1024
-	MaxCores   = 64
+	MaxThreads   = 1024
+	MaxCores     = 64
+	MaxTextBytes = 1 << 20
 )
 
 // ExperimentCell is the experiment name of a single simulation cell —
@@ -49,7 +54,7 @@ type JobSpec struct {
 
 	// Cell parameters (Experiment == ExperimentCell only).
 	Scheme   string `json:"scheme,omitempty"`   // NS, SNP or SP
-	Windows  int    `json:"windows,omitempty"`  // 2..32
+	Windows  int    `json:"windows,omitempty"`  // 2..regwin.MaxWindows
 	Policy   string `json:"policy,omitempty"`   // FIFO (default) or WS
 	Behavior string `json:"behavior,omitempty"` // e.g. high-fine (see harness.Behaviors)
 
@@ -150,6 +155,12 @@ func (s JobSpec) Normalize() JobSpec {
 // Validate reports whether the normalized spec names a runnable job.
 func (s JobSpec) Validate() error {
 	s = s.Normalize()
+	if s.Draft < corpus.MinDraftSize || s.Draft > MaxTextBytes {
+		return fmt.Errorf("simsvc: draft %d out of range %d..%d", s.Draft, corpus.MinDraftSize, MaxTextBytes)
+	}
+	if s.Dict < 0 || s.Dict > MaxTextBytes {
+		return fmt.Errorf("simsvc: dict %d out of range 0..%d", s.Dict, MaxTextBytes)
+	}
 	if s.Experiment == ExperimentCell {
 		if _, ok := schemeByName(s.Scheme); !ok {
 			return fmt.Errorf("simsvc: unknown scheme %q (want NS, SNP or SP)", s.Scheme)
@@ -186,9 +197,6 @@ func (s JobSpec) Validate() error {
 		if n < 2 || n > regwin.MaxWindows {
 			return fmt.Errorf("simsvc: window count %d out of range 2..%d", n, regwin.MaxWindows)
 		}
-	}
-	if s.Draft < 0 || s.Dict < 0 {
-		return fmt.Errorf("simsvc: negative workload size")
 	}
 	return nil
 }
@@ -363,8 +371,8 @@ func (cr *CellResult) counters() stats.Counters {
 }
 
 // HarnessResult rebuilds the harness view of a cell result for the
-// given spec — how cached, pooled and cluster-routed cells re-enter a
-// sweep byte-identically to freshly simulated ones.
+// given spec — how cached and pooled cells re-enter a sweep
+// byte-identically to freshly simulated ones.
 func (cr *CellResult) HarnessResult(s JobSpec) harness.Result {
 	s = s.Normalize()
 	scheme, _ := schemeByName(s.Scheme)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cyclicwin/internal/core"
+	"cyclicwin/internal/corpus"
 	"cyclicwin/internal/harness"
 )
 
@@ -94,6 +95,8 @@ func TestValidate(t *testing.T) {
 		{Experiment: "table2"},
 		{Experiment: "hw", Full: true},
 		{Experiment: ExperimentCell, Scheme: "SNP", Windows: 4, Behavior: "low-fine", Policy: "WS", SearchAlloc: true},
+		{Experiment: ExperimentCell, Scheme: "SP", Windows: 8, Behavior: "high-fine", Draft: corpus.MinDraftSize, Dict: 1},
+		{Experiment: "fig11", Draft: MaxTextBytes, Dict: MaxTextBytes},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {
@@ -111,6 +114,17 @@ func TestValidate(t *testing.T) {
 		{Experiment: ExperimentCell, Scheme: "SP", Windows: 8, Behavior: "high-fine", Policy: "LIFO"},
 		{Experiment: ExperimentCell, Scheme: "SP", Windows: 8, Behavior: "medium-rare"},
 		{Experiment: "fig11", WindowList: []int{1}},
+		// Sizes the corpus cannot generate, or that would make one
+		// request allocate without bound, are rejected for cells and
+		// named experiments alike.
+		{Experiment: ExperimentCell, Scheme: "SP", Windows: 8, Behavior: "high-fine", Draft: -5},
+		{Experiment: ExperimentCell, Scheme: "SP", Windows: 8, Behavior: "high-fine", Draft: 1},
+		{Experiment: ExperimentCell, Scheme: "SP", Windows: 8, Behavior: "high-fine", Draft: corpus.MinDraftSize - 1},
+		{Experiment: ExperimentCell, Scheme: "SP", Windows: 8, Behavior: "high-fine", Dict: -3},
+		{Experiment: ExperimentCell, Scheme: "SP", Windows: 8, Behavior: "high-fine", Draft: MaxTextBytes + 1},
+		{Experiment: ExperimentCell, Scheme: "SP", Windows: 8, Threads: 4, Dict: MaxTextBytes + 1},
+		{Experiment: "fig11", Draft: 100},
+		{Experiment: "table1", Dict: MaxTextBytes + 1},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
