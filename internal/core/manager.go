@@ -153,6 +153,16 @@ func (c Config) trapTransfer() int {
 	return k
 }
 
+// stacks returns the configured save-area allocator, or a private one
+// that lays save areas out downward from high memory, 64 KiB (1,024
+// frames) per thread, far from guest data.
+func (c Config) stacks() *mem.StackAllocator {
+	if c.Stacks != nil {
+		return c.Stacks
+	}
+	return mem.NewStackAllocator(0xfff0000, 1<<16)
+}
+
 // New constructs a manager for the given scheme.
 func New(s Scheme, cfg Config) Manager {
 	switch s {
@@ -217,17 +227,11 @@ func newMachine(cfg Config) machine {
 	if c == nil {
 		c = new(cycles.Counter)
 	}
-	stacks := cfg.Stacks
-	if stacks == nil {
-		// Save areas are laid out downward from high memory, 64 KiB per
-		// thread, far from guest data.
-		stacks = mem.NewStackAllocator(0xfff0000, 1<<16)
-	}
 	return machine{
 		file:     regwin.NewFile(cfg.Windows),
 		mem:      m,
 		cyc:      c,
-		stacks:   stacks,
+		stacks:   cfg.stacks(),
 		slots:    make([]slot, cfg.Windows),
 		transfer: cfg.trapTransfer(),
 		activity: cfg.Activity,
@@ -274,7 +278,7 @@ func (m *machine) SetReg(r int, v uint32) {
 }
 
 func (m *machine) newThread(id int, name string) *Thread {
-	t := &Thread{ID: id, Name: name, saveBase: m.stacks.Alloc()}
+	t := &Thread{ID: id, Name: name, saveBase: m.stacks.Alloc(), frames: m.stacks.Size() / frameBytes}
 	t.resetWindows()
 	t.initOuts()
 	m.threads = append(m.threads, t)

@@ -27,16 +27,24 @@ type Reference struct {
 	globals [regwin.NGlobals]uint32
 	cnt     stats.Counters
 	cyc     *cycles.Counter
+	// areaFrames is the save-area capacity the real schemes would give
+	// each thread, so SaveAreaFull agrees with them.
+	areaFrames uint32
 }
 
 // NewReference returns the infinite-window oracle. Config is accepted
-// for interface symmetry; only the cycle counter is used.
+// for interface symmetry; only the cycle counter and the save-area size
+// are used.
 func NewReference(cfg Config) *Reference {
 	c := cfg.Counter
 	if c == nil {
 		c = new(cycles.Counter)
 	}
-	return &Reference{frames: make(map[*Thread][]refFrame), cyc: c}
+	return &Reference{
+		frames:     make(map[*Thread][]refFrame),
+		cyc:        c,
+		areaFrames: cfg.stacks().Size() / frameBytes,
+	}
 }
 
 // Scheme returns SchemeReference.
@@ -45,7 +53,7 @@ func (r *Reference) Scheme() Scheme { return SchemeReference }
 // NewThread registers a thread with one (outermost) frame pending; the
 // frame is created when the thread is first switched to.
 func (r *Reference) NewThread(id int, name string) *Thread {
-	t := &Thread{ID: id, Name: name}
+	t := &Thread{ID: id, Name: name, frames: r.areaFrames}
 	t.resetWindows()
 	return t
 }

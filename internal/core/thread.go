@@ -57,9 +57,12 @@ type Thread struct {
 	depth int
 
 	// saved is the number of windows spilled to the memory save area;
-	// saveBase is the (exclusive) top of that area, which grows down.
+	// saveBase is the (exclusive) top of that area, which grows down,
+	// and frames is how many windows the area holds (a uint32 beside
+	// saveBase, so the field costs no space).
 	saved    int
 	saveBase uint32
+	frames   uint32
 
 	// burstMin and burstMax track the depth range (infinite-window
 	// identities) touched since the last dispatch, for the Section 5
@@ -86,6 +89,19 @@ func (t *Thread) Depth() int { return t.depth }
 // SavedWindows reports how many of the thread's windows currently live
 // in the memory save area.
 func (t *Thread) SavedWindows() int { return t.saved }
+
+// SaveAreaFrames reports how many windows the thread's memory save area
+// holds: its allocator's stack size over the 64-byte frame.
+func (t *Thread) SaveAreaFrames() int { return int(t.frames) }
+
+// SaveAreaFull reports whether one more save would give the thread more
+// frames than its save area holds. A thread at depth d owns d+1 frames,
+// and a flushing switch can put every one of them in the area, so a
+// save is allowed only while depth+2 frames fit. Manager.Save does not
+// check this: callers that save on a guest's behalf (sched.Env.Call,
+// the ISA save instruction) check it first and fail the guest with a
+// fault.InvalidWindowOp guest fault instead.
+func (t *Thread) SaveAreaFull() bool { return t.depth+2 > int(t.frames) }
 
 // resetWindows marks the thread as owning no window slots.
 func (t *Thread) resetWindows() {
@@ -115,15 +131,17 @@ func (t *Thread) String() string {
 }
 
 // pushFrame spills the 16 in+local registers of window slot w to the top
-// of the thread's memory save area.
+// of the thread's memory save area. A full area panics rather than
+// overwrite the next thread's: only a caller that saved past
+// SaveAreaFull can get here.
 func (t *Thread) pushFrame(m *mem.Memory, f *regwin.File, w int) {
+	if t.saved == int(t.frames) {
+		panic(fmt.Sprintf("core: %v pushFrame past its %d-frame save area", t, t.frames))
+	}
 	var buf [regwin.WindowWords]uint32
 	f.SpillWindow(w, &buf)
-	base := t.saveBase - uint32(t.saved+1)*frameBytes
-	for i, v := range buf {
-		m.Store32(base+uint32(i*4), v)
-	}
 	t.saved++
+	m.StoreFrame(t.saveBase-uint32(t.saved)*frameBytes, &buf)
 }
 
 // popFrame fills window slot w from the newest frame in the thread's
@@ -132,11 +150,8 @@ func (t *Thread) popFrame(m *mem.Memory, f *regwin.File, w int) {
 	if t.saved == 0 {
 		panic(fmt.Sprintf("core: %v popFrame with empty save area", t))
 	}
-	base := t.saveBase - uint32(t.saved)*frameBytes
 	var buf [regwin.WindowWords]uint32
-	for i := range buf {
-		buf[i] = m.Load32(base + uint32(i*4))
-	}
+	m.LoadFrame(t.saveBase-uint32(t.saved)*frameBytes, &buf)
 	f.FillWindow(w, &buf)
 	t.saved--
 }

@@ -30,8 +30,9 @@ const MemCeiling uint32 = 0xf000000
 //     every register access through the Manager interface, every cycle
 //     charged directly to the counter. It is the semantic authority.
 //   - Run, by default, uses the fast path of fast.go: predecoded
-//     instructions, direct window-register pointers (when the manager
-//     implements core.WindowAccessor), and batched cycle accounting.
+//     instructions, register access straight through the register
+//     file's cached current window (when the manager exposes its file),
+//     and batched cycle accounting.
 //     SetFastPath(false) makes Run loop over Step instead.
 //
 // The differential tests in fastpath_test.go pin the two paths to each
@@ -60,20 +61,19 @@ type CPU struct {
 	OnStep func(pc uint32, in *Instr)
 
 	// Fast-path state: the predecoded instruction cache with its
-	// current-page memo, the devirtualized window accessor, and the
-	// cached current-window pointers (winOK marks them fresh).
+	// current-page memo.
 	fast       bool
 	icache     *icache
 	curPage    *icachePage
 	curPageNum uint32
-	scratch    Instr // decode buffer for unaligned fetch addresses
-	wa         core.WindowAccessor
-	win        core.FastWindow
-	winOK      bool
+	scratch    Instr  // decode buffer for unaligned fetch addresses
 	pend       uint64 // batched cycles not yet flushed to the counter
 
-	// file, when the manager exposes its register file, supplies the CWP
-	// recorded in guest faults.
+	// file is the register file of a manager that exposes one (NS, SNP
+	// and SP). The fast path reads and writes the running thread's
+	// current window through it, and guest faults record its CWP. It is
+	// nil for the Reference oracle and for decorators such as the trace
+	// manager, which the fast path reaches through Mgr.Reg and SetReg.
 	file *regwin.File
 	// chaos, when non-nil, is polled once per fast-path instruction for
 	// the icache-flush perturbation point (SetChaos).
@@ -88,7 +88,6 @@ type flags struct{ n, z, v, c bool }
 // the reference interpreter.
 func NewCPU(mgr core.Manager, m *mem.Memory) *CPU {
 	c := &CPU{Mgr: mgr, Mem: m, fast: true, icache: newICache(m)}
-	c.wa, _ = mgr.(core.WindowAccessor)
 	if fr, ok := mgr.(interface{ File() *regwin.File }); ok {
 		c.file = fr.File()
 	}
@@ -288,6 +287,11 @@ func (c *CPU) arith(in Instr, next *uint32) error {
 		cyc.Add(cycles.InstrCall)
 		return nil
 	case Op3Save:
+		// A save that would overrun the thread's save area is a guest
+		// program error, like the restore past the outermost frame.
+		if t := c.Mgr.Running(); t != nil && t.SaveAreaFull() {
+			return c.guestFault(fault.InvalidWindowOp, "save past the %d-frame save area", t.SaveAreaFrames())
+		}
 		// Operands are read in the caller's window, the result is
 		// written in the new window (the SPARC save-as-add semantics).
 		c.Mgr.Save()

@@ -13,11 +13,11 @@ import (
 //   - fetch/decode: instructions come predecoded from the per-page
 //     icache (predecode.go) instead of Decode on every executed word;
 //     stores into cached text invalidate the overwritten words.
-//   - register access: reads and writes go through cached direct
-//     pointers into the register file (core.FastWindow), refreshed only
-//     when the CWP can have moved (save, restore, or between Run
-//     calls); managers that do not implement core.WindowAccessor (the
-//     Reference oracle, the trace decorator) fall back to Mgr.Reg.
+//   - register access: reads and writes index the register file's
+//     cached current window directly (regwin.File.Reg), which the file
+//     itself keeps current wherever the CWP moves; managers that do not
+//     expose their file (the Reference oracle, the trace decorator)
+//     fall back to Mgr.Reg.
 //   - cycle accounting: per-instruction cycles accumulate in c.pend and
 //     flush to the shared counter only at basic-block-observable points
 //     (before any Manager call, on yield/halt/error/limit, and when Run
@@ -61,31 +61,22 @@ func (c *CPU) fetch(pc uint32) *Instr {
 	return &p.instrs[idx]
 }
 
-// rdReg reads register r of the current window through the cached
-// window pointers, lazily refreshing them; managers without the fast
-// interface go through Mgr.Reg.
+// rdReg reads register r of the current window through the register
+// file; managers that do not expose one go through Mgr.Reg.
 func (c *CPU) rdReg(r int) uint32 {
-	if !c.winOK {
-		if c.wa == nil {
-			return c.Mgr.Reg(r)
-		}
-		c.win = c.wa.FastWindow()
-		c.winOK = true
+	if c.file != nil {
+		return c.file.Reg(r)
 	}
-	return c.win.Reg(r)
+	return c.Mgr.Reg(r)
 }
 
 // wrReg writes register r of the current window, mirroring rdReg.
 func (c *CPU) wrReg(r int, v uint32) {
-	if !c.winOK {
-		if c.wa == nil {
-			c.Mgr.SetReg(r, v)
-			return
-		}
-		c.win = c.wa.FastWindow()
-		c.winOK = true
+	if c.file != nil {
+		c.file.SetReg(r, v)
+		return
 	}
-	c.win.SetReg(r, v)
+	c.Mgr.SetReg(r, v)
 }
 
 func (c *CPU) operand2Fast(in *Instr) uint32 {
@@ -97,10 +88,6 @@ func (c *CPU) operand2Fast(in *Instr) uint32 {
 
 // runFast is the fast-path Run loop.
 func (c *CPU) runFast(limit uint64) (yielded bool, err error) {
-	// The window pointers may be stale from a previous Run call: a
-	// context switch (or window relocation) can have happened in
-	// between, so start unfetched and let the first access refresh.
-	c.winOK = false
 	for !c.halted {
 		if limit > 0 && c.Steps >= limit {
 			err := c.guestFault(fault.StepLimit, "step limit %d exceeded", limit)
@@ -244,14 +231,15 @@ func (c *CPU) arithFast(in *Instr, next *uint32) error {
 		c.pend += cycles.InstrCall
 		return nil
 	case Op3Save:
+		if t := c.Mgr.Running(); t != nil && t.SaveAreaFull() {
+			return c.guestFault(fault.InvalidWindowOp, "save past the %d-frame save area", t.SaveAreaFrames())
+		}
 		// Operands were read in the caller's window; the manager moves
-		// the CWP (possibly through an overflow trap), so the cached
-		// window pointers go stale and the result lands in the new
-		// window. Cycles flush first so a trace decorator's snapshots
-		// around Save match the reference path.
+		// the CWP (possibly through an overflow trap) and the result
+		// lands in the new window. Cycles flush first so a trace
+		// decorator's snapshots around Save match the reference path.
 		c.flushCycles()
 		c.Mgr.Save()
-		c.winOK = false
 		c.wrReg(in.Rd, a+b)
 		return nil
 	case Op3Restore:
@@ -260,7 +248,6 @@ func (c *CPU) arithFast(in *Instr, next *uint32) error {
 		}
 		c.flushCycles()
 		c.Mgr.Restore()
-		c.winOK = false
 		c.wrReg(in.Rd, a+b)
 		return nil
 	case Op3Ticc:

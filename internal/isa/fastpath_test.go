@@ -423,9 +423,8 @@ func FuzzFastParity(f *testing.F) {
 
 // TestFastPathMultithreaded runs a two-thread producer/consumer program
 // under the scheduler on both interpreter paths: the threads share one
-// window file and one memory, so every context switch crosses a point
-// where the fast path's cached window pointers are stale and must be
-// refreshed.
+// window file and one memory, so every context switch moves the current
+// window the fast path reads through.
 func TestFastPathMultithreaded(t *testing.T) {
 	producerSrc := `
 start:

@@ -5,8 +5,8 @@ package isa_test
 // highest-risk for cached state: self-modifying code whose patched word
 // sits directly behind a window-overflow trap (predecode invalidation
 // racing window motion), and register values that must survive a full
-// wrap of the window file through spill/fill round trips (FastWindow
-// pointer invalidation). Unlike the purely differential tests in
+// wrap of the window file through spill/fill round trips (the register
+// file's cached current window). Unlike the purely differential tests in
 // fastpath_test.go, these also assert the architecturally expected
 // final values, so both interpreter paths being identically wrong would
 // still fail.
@@ -22,8 +22,8 @@ import (
 // TestFastPathSelfModifyingAcrossWrap alternates a patched instruction
 // inside a loop whose every iteration executes a save — on a 3-window
 // file each iteration overflows and wraps the file, so the icache
-// invalidation triggered by the store is exercised while the fast
-// path's window pointers are also going stale. The patched word
+// invalidation triggered by the store is exercised while the current
+// window the fast path reads through keeps moving. The patched word
 // alternates between loading 2 and 1 into %g3, which an accumulator
 // sums: 8 passes → 2+1+2+1+2+1+2+1 = 12.
 func TestFastPathSelfModifyingAcrossWrap(t *testing.T) {
@@ -83,8 +83,8 @@ func TestFastPathSelfModifyingAcrossWrap(t *testing.T) {
 // files, with every frame defining a depth-unique local register before
 // the recursive call and folding it into a global accumulator after the
 // call returns. On a 3-window file every frame's local makes a full
-// spill/fill round trip through memory, so any stale FastWindow pointer
-// or missed invalidation after an underflow trap shows up as a wrong
+// spill/fill round trip through memory, so a stale cached window or a
+// missed invalidation after an underflow trap shows up as a wrong
 // sum. Expected: sum of (depth+5) for depth 10..1 = 105.
 func TestFastPathLocalsSurviveWrap(t *testing.T) {
 	words := []uint32{

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cyclicwin/internal/asm"
 	"cyclicwin/internal/core"
 	"cyclicwin/internal/fault"
 	"cyclicwin/internal/isa"
@@ -207,4 +208,45 @@ func FuzzGuestFaultParity(f *testing.F) {
 		}
 		compareState(t, slow, fast, errString(errSlow), errString(errFast))
 	})
+}
+
+// recurseSrc recurses %o0 levels deep through real save instructions,
+// writing each level's depth into its %l0.
+const recurseSrc = `
+start:
+	set 1100, %o0
+	call rec
+	ta 0
+rec:
+	save %sp, -96, %sp
+	mov %i0, %l0
+	subcc %i0, 1, %o0
+	be done
+	call rec
+done:
+	restore
+	ret
+`
+
+// TestSavePastSaveAreaFaults recurses deeper than the thread's
+// 1,024-frame save area. The save that would overrun it must raise an
+// InvalidWindowOp guest fault at depth 1,023, identically on both
+// interpreter paths, instead of spilling outside the area.
+func TestSavePastSaveAreaFaults(t *testing.T) {
+	p := asm.MustAssemble(recurseSrc, diffOrigin)
+	for _, s := range core.Schemes {
+		t.Run(s.String(), func(t *testing.T) {
+			slow := newDiffMachine(s, 8, p.Words, false)
+			fast := newDiffMachine(s, 8, p.Words, true)
+			errSlow, errFast := slow.driveErr(100_000), fast.driveErr(100_000)
+			var gf *fault.GuestFault
+			if !errors.As(errSlow, &gf) || gf.Kind != fault.InvalidWindowOp {
+				t.Fatalf("slow path: %v, want an InvalidWindowOp guest fault", errSlow)
+			}
+			compareState(t, slow, fast, errString(errSlow), errString(errFast))
+			if d := slow.mgr.Running().Depth(); d != 1023 {
+				t.Errorf("faulted at depth %d, want 1023", d)
+			}
+		})
+	}
 }

@@ -4,12 +4,19 @@
 // on SPARC, big-endian.
 package mem
 
-import "sort"
+import (
+	"encoding/binary"
+	"sort"
+)
 
 const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
+
+	// frameBytes is the size of one LoadFrame/StoreFrame frame: 16
+	// words, one spilled register window.
+	frameBytes = 16 * 4
 )
 
 // Memory is a sparse, paged, big-endian byte-addressed memory. The zero
@@ -115,6 +122,51 @@ func (m *Memory) Store32(addr uint32, v uint32) {
 	m.Store8(addr+3, byte(v))
 }
 
+// StoreFrame writes the 16 words of fr from addr on, exactly as 16
+// Store32 calls at addr, addr+4, ... would, and tells the store watchers
+// once about the whole 64-byte range. A frame inside one page (every
+// frame of a window save area) resolves the page once; a frame that
+// crosses a page boundary falls back to byte stores.
+func (m *Memory) StoreFrame(addr uint32, fr *[16]uint32) {
+	if o := addr & pageMask; o <= pageSize-frameBytes {
+		b := (*[frameBytes]byte)(m.page(addr)[o:])
+		for i, v := range fr {
+			binary.BigEndian.PutUint32(b[4*i:], v)
+		}
+	} else {
+		for i, v := range fr {
+			a := addr + uint32(4*i)
+			for k := uint32(0); k < 4; k++ {
+				m.page(a + k)[(a+k)&pageMask] = byte(v >> (24 - 8*k))
+			}
+		}
+	}
+	if m.watchers != nil {
+		m.notifyStore(addr, frameBytes)
+	}
+}
+
+// LoadFrame reads 16 words from addr on into fr, exactly as 16 Load32
+// calls would. Like Load32 it materialises no page: an untouched page
+// reads as zeros. A frame inside one page resolves the page once.
+func (m *Memory) LoadFrame(addr uint32, fr *[16]uint32) {
+	if o := addr & pageMask; o <= pageSize-frameBytes {
+		p := m.pages[addr>>pageShift]
+		if p == nil {
+			*fr = [16]uint32{}
+			return
+		}
+		b := (*[frameBytes]byte)(p[o:])
+		for i := range fr {
+			fr[i] = binary.BigEndian.Uint32(b[4*i:])
+		}
+		return
+	}
+	for i := range fr {
+		fr[i] = m.Load32(addr + uint32(4*i))
+	}
+}
+
 // StoreBytes copies b into memory starting at addr.
 func (m *Memory) StoreBytes(addr uint32, b []byte) {
 	for i, c := range b {
@@ -170,3 +222,6 @@ func (a *StackAllocator) Alloc() uint32 {
 	a.next -= a.size
 	return sp
 }
+
+// Size reports the size in bytes of every stack the allocator hands out.
+func (a *StackAllocator) Size() uint32 { return a.size }

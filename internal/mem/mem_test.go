@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -71,3 +72,157 @@ func TestStackAllocatorDisjoint(t *testing.T) {
 		t.Errorf("allocations = %#x %#x %#x", s1, s2, s3)
 	}
 }
+
+// frameAddrs are the addresses the frame tests cover: aligned frames,
+// frames ending at or crossing a page end, and misaligned frames.
+var frameAddrs = []uint32{
+	0x1000, 0x2040, 0xfff0000 - 64,
+	0x3000 + pageSize - 64, 0x3000 + pageSize - 60, 0x3000 + pageSize - 4,
+	0x5001, 0x6ffe, 0x7000 + pageSize - 63,
+}
+
+func testFrame(seed uint32) *[16]uint32 {
+	var fr [16]uint32
+	for i := range fr {
+		fr[i] = seed*2654435761 + uint32(i)*0x01010101
+	}
+	return &fr
+}
+
+// checkFrameParity fails the test unless StoreFrame and LoadFrame at
+// addr act exactly as 16 Store32 and Load32 calls: the same pages
+// touched with the same bytes, and the same words read back.
+func checkFrameParity(t testing.TB, addr uint32, fr *[16]uint32) {
+	t.Helper()
+	framed, worded := New(), New()
+	framed.StoreFrame(addr, fr)
+	for k, v := range fr {
+		worded.Store32(addr+uint32(4*k), v)
+	}
+	pf, pw := framed.TouchedPages(), worded.TouchedPages()
+	if !slices.Equal(pf, pw) {
+		t.Fatalf("addr %#x: StoreFrame touched pages %#x, Store32 %#x", addr, pf, pw)
+	}
+	for _, p := range pf {
+		if !bytes.Equal(framed.LoadBytes(p, pageSize), worded.LoadBytes(p, pageSize)) {
+			t.Fatalf("addr %#x: page %#x differs", addr, p)
+		}
+	}
+	var got [16]uint32
+	framed.LoadFrame(addr, &got)
+	for k := range got {
+		if want := worded.Load32(addr + uint32(4*k)); got[k] != want {
+			t.Fatalf("addr %#x: LoadFrame word %d = %#x, Load32 = %#x", addr, k, got[k], want)
+		}
+	}
+}
+
+func TestFrameMatchesWords(t *testing.T) {
+	for i, addr := range frameAddrs {
+		checkFrameParity(t, addr, testFrame(uint32(i+1)))
+	}
+}
+
+func TestLoadFrameUntouchedReadsZeros(t *testing.T) {
+	for _, addr := range frameAddrs {
+		m := New()
+		got := *testFrame(7) // stale contents LoadFrame must overwrite
+		m.LoadFrame(addr, &got)
+		if got != [16]uint32{} {
+			t.Errorf("addr %#x: untouched frame reads %#x", addr, got)
+		}
+		if m.PagesTouched() != 0 {
+			t.Errorf("addr %#x: LoadFrame materialised %d pages", addr, m.PagesTouched())
+		}
+	}
+	var zero Memory
+	var got [16]uint32
+	zero.LoadFrame(0x1000, &got)
+	if got != [16]uint32{} || zero.PagesTouched() != 0 {
+		t.Errorf("zero Memory: frame %#x, %d pages", got, zero.PagesTouched())
+	}
+}
+
+func TestStoreFrameWatcherSeesRange(t *testing.T) {
+	for _, addr := range frameAddrs {
+		m := New()
+		type call struct{ addr, n uint32 }
+		var calls []call
+		m.OnStore(func(a, n uint32) { calls = append(calls, call{a, n}) })
+		m.StoreFrame(addr, testFrame(3))
+		if len(calls) != 1 || calls[0] != (call{addr, 64}) {
+			t.Errorf("addr %#x: watcher saw %v, want one call {%#x 64}", addr, calls, addr)
+		}
+	}
+}
+
+// FuzzFrameParity checks StoreFrame and LoadFrame against 16 Store32
+// and Load32 calls at any address, including page-crossing and
+// misaligned frames and frames that wrap the 32-bit address space.
+func FuzzFrameParity(f *testing.F) {
+	for i, addr := range frameAddrs {
+		f.Add(addr, bytes.Repeat([]byte{byte(i + 1)}, 64))
+	}
+	f.Add(uint32(0xffffffe0), []byte("wraps the top of the address space"))
+	f.Fuzz(func(t *testing.T, addr uint32, data []byte) {
+		var fr [16]uint32
+		for i := range fr {
+			var w [4]byte
+			copy(w[:], data[min(len(data), 4*i):])
+			fr[i] = uint32(w[0])<<24 | uint32(w[1])<<16 | uint32(w[2])<<8 | uint32(w[3])
+		}
+		checkFrameParity(t, addr, &fr)
+	})
+}
+
+// BenchmarkFrame compares frame operations with per-word access on the
+// save-area pattern: 64 consecutive frames, one page, spilled downward
+// from the top of the save areas, then filled back.
+func BenchmarkFrame(b *testing.B) {
+	const frames = 64
+	base := uint32(0xfff0000 - frames*64)
+	fr := testFrame(1)
+	// memory returns a memory whose save-area page already exists, so
+	// the timed loop allocates nothing.
+	memory := func(b *testing.B) *Memory {
+		m := New()
+		m.StoreFrame(base, fr)
+		b.ReportAllocs()
+		b.ResetTimer()
+		return m
+	}
+	var got [16]uint32
+	b.Run("store/frame", func(b *testing.B) {
+		m := memory(b)
+		for i := 0; i < b.N; i++ {
+			m.StoreFrame(base+uint32(i%frames)*64, fr)
+		}
+	})
+	b.Run("store/words", func(b *testing.B) {
+		m := memory(b)
+		for i := 0; i < b.N; i++ {
+			a := base + uint32(i%frames)*64
+			for k, v := range fr {
+				m.Store32(a+uint32(4*k), v)
+			}
+		}
+	})
+	b.Run("load/frame", func(b *testing.B) {
+		m := memory(b)
+		for i := 0; i < b.N; i++ {
+			m.LoadFrame(base+uint32(i%frames)*64, &got)
+		}
+	})
+	b.Run("load/words", func(b *testing.B) {
+		m := memory(b)
+		for i := 0; i < b.N; i++ {
+			a := base + uint32(i%frames)*64
+			for k := range got {
+				got[k] = m.Load32(a + uint32(4*k))
+			}
+		}
+	})
+	frameSink = got
+}
+
+var frameSink [16]uint32

@@ -49,7 +49,20 @@ type File struct {
 	globals [NGlobals]uint32
 	ins     [][NPart]uint32
 	locals  [][NPart]uint32
+
+	// cur is the current window's view, refreshed wherever the CWP
+	// moves (setCWP), so Reg and SetReg index arrays directly. The
+	// backing arrays never reallocate and trap handlers move register
+	// contents, not arrays, so only a CWP move can stale it.
+	cur window
 }
+
+// window is one window's view of the 32 visible registers: register r
+// is view[r>>3][r&7], the flat SPARC numbering split into globals,
+// outs, locals and ins. The outs are the ins of the window above.
+// globals[0] backs %g0; every writer discards register 0, so it reads
+// as zero without a branch.
+type window [4]*[NPart]uint32
 
 // NewFile returns a register file with n windows, CWP 0 and an empty WIM.
 // It panics if n is outside [MinWindows, MaxWindows]; window counts are
@@ -58,11 +71,13 @@ func NewFile(n int) *File {
 	if n < MinWindows || n > MaxWindows {
 		panic(fmt.Sprintf("regwin: window count %d outside [%d,%d]", n, MinWindows, MaxWindows))
 	}
-	return &File{
+	f := &File{
 		n:      n,
 		ins:    make([][NPart]uint32, n),
 		locals: make([][NPart]uint32, n),
 	}
+	f.setCWP(0)
+	return f
 }
 
 // NWindows reports the number of windows in the file.
@@ -72,7 +87,19 @@ func (f *File) NWindows() int { return f.n }
 func (f *File) CWP() int { return f.cwp }
 
 // SetCWP sets the current window pointer to window w.
-func (f *File) SetCWP(w int) { f.cwp = f.norm(w) }
+func (f *File) SetCWP(w int) { f.setCWP(f.norm(w)) }
+
+// setCWP moves the CWP to slot w, which must already be normalised, and
+// refreshes the cached current window.
+func (f *File) setCWP(w int) {
+	f.cwp = w
+	f.cur = f.view(w)
+}
+
+// view returns window w's register view; w must be normalised.
+func (f *File) view(w int) window {
+	return window{&f.globals, &f.ins[f.Above(w)], &f.locals[w], &f.ins[w]}
+}
 
 // WIM reports the window invalid mask; bit i set means window i is
 // reserved (a save or restore into it traps).
@@ -101,78 +128,51 @@ func (f *File) Below(w int) int { return f.norm(w + 1) }
 
 // Distance returns how many windows lie strictly between w going upward
 // (through Above) until reaching v; Distance(w, w) is 0.
-func (f *File) Distance(w, v int) int {
-	return ((w-v)%f.n + f.n) % f.n
-}
+func (f *File) Distance(w, v int) int { return f.norm(w - v) }
 
+// norm wraps w into [0, n). Window arguments are slots, a slot plus or
+// minus one, or the difference of two slots, all inside [-n, 2n), where
+// one compare and one add or subtract suffice; the modulo is kept for
+// anything farther out.
 func (f *File) norm(w int) int {
+	switch {
+	case w < 0:
+		if w >= -f.n {
+			return w + f.n
+		}
+	case w < f.n:
+		return w
+	case w < 2*f.n:
+		return w - f.n
+	}
 	return (w%f.n + f.n) % f.n
 }
 
 // Reg reads register r (0..31) of the current window. %g0 reads as zero.
-func (f *File) Reg(r int) uint32 { return f.RegW(f.cwp, r) }
+// Like every register accessor, it panics with an index error for a
+// register number outside 0..31.
+func (f *File) Reg(r int) uint32 { return f.cur[r>>3][r&7] }
 
 // SetReg writes register r of the current window. Writes to %g0 are
 // discarded, as on hardware.
-func (f *File) SetReg(r int, v uint32) { f.SetRegW(f.cwp, r, v) }
-
-// RegW reads register r (0..31) as seen from window w.
-func (f *File) RegW(w, r int) uint32 {
-	w = f.norm(w)
-	switch {
-	case r == 0:
-		return 0
-	case r < RegO0:
-		return f.globals[r]
-	case r < RegL0:
-		return f.ins[f.Above(w)][r-RegO0] // outs alias the ins above
-	case r < RegI0:
-		return f.locals[w][r-RegL0]
-	case r < RegI0+NPart:
-		return f.ins[w][r-RegI0]
-	default:
-		panic(fmt.Sprintf("regwin: register %d out of range", r))
+func (f *File) SetReg(r int, v uint32) {
+	if r != 0 {
+		f.cur[r>>3][r&7] = v
 	}
 }
 
+// RegW reads register r (0..31) as seen from window w.
+func (f *File) RegW(w, r int) uint32 { return f.view(f.norm(w))[r>>3][r&7] }
+
 // SetRegW writes register r as seen from window w.
 func (f *File) SetRegW(w, r int, v uint32) {
-	w = f.norm(w)
-	switch {
-	case r == 0:
-		// %g0 is hardwired to zero.
-	case r < RegO0:
-		f.globals[r] = v
-	case r < RegL0:
-		f.ins[f.Above(w)][r-RegO0] = v
-	case r < RegI0:
-		f.locals[w][r-RegL0] = v
-	case r < RegI0+NPart:
-		f.ins[w][r-RegI0] = v
-	default:
-		panic(fmt.Sprintf("regwin: register %d out of range", r))
+	if r != 0 {
+		f.view(f.norm(w))[r>>3][r&7] = v
 	}
 }
 
 // Ins returns the in registers of window w as a mutable slice view.
 func (f *File) Ins(w int) []uint32 { return f.ins[f.norm(w)][:] }
-
-// InsPtr returns a direct pointer to the in-register array of window w.
-// The pointer stays valid for the lifetime of the file (the backing
-// slices never reallocate), but it designates window w's registers only
-// until the next operation that moves register contents between slots
-// (traps, switches); the interpreter fast path refreshes its cached
-// pointers on every such event.
-func (f *File) InsPtr(w int) *[NPart]uint32 { return &f.ins[f.norm(w)] }
-
-// LocalsPtr returns a direct pointer to the local-register array of
-// window w, with the same validity rules as InsPtr.
-func (f *File) LocalsPtr(w int) *[NPart]uint32 { return &f.locals[f.norm(w)] }
-
-// GlobalsPtr returns a direct pointer to the global registers. Element
-// 0 backs %g0 and is never written through the managers, so it always
-// reads as zero; fast-path writers must skip register 0 themselves.
-func (f *File) GlobalsPtr() *[NGlobals]uint32 { return &f.globals }
 
 // Locals returns the local registers of window w as a mutable slice view.
 func (f *File) Locals(w int) []uint32 { return f.locals[f.norm(w)][:] }
@@ -196,7 +196,7 @@ func (f *File) Save() bool {
 	if f.SaveWouldTrap() {
 		return false
 	}
-	f.cwp = f.Above(f.cwp)
+	f.setCWP(f.Above(f.cwp))
 	return true
 }
 
@@ -207,7 +207,7 @@ func (f *File) Restore() bool {
 	if f.RestoreWouldTrap() {
 		return false
 	}
-	f.cwp = f.Below(f.cwp)
+	f.setCWP(f.Below(f.cwp))
 	return true
 }
 

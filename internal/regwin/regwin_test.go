@@ -1,6 +1,7 @@
 package regwin
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -234,3 +235,159 @@ func TestRegisterRangePanics(t *testing.T) {
 	}()
 	f.RegW(0, 32)
 }
+
+// modulo is the reference wrap the file's compare-and-add arithmetic
+// must agree with.
+func modulo(w, n int) int { return (w%n + n) % n }
+
+func TestWrapMatchesModulo(t *testing.T) {
+	for n := MinWindows; n <= MaxWindows; n++ {
+		f := NewFile(n)
+		others := []int{-3 * n, -n, -1, 0, 1, n - 1, n, 2*n - 1, 3 * n}
+		for w := -3 * n; w <= 3*n; w++ {
+			if got, want := f.Above(w), modulo(w-1, n); got != want {
+				t.Fatalf("n=%d: Above(%d) = %d, want %d", n, w, got, want)
+			}
+			if got, want := f.Below(w), modulo(w+1, n); got != want {
+				t.Fatalf("n=%d: Below(%d) = %d, want %d", n, w, got, want)
+			}
+			for _, v := range others {
+				if got, want := f.Distance(w, v), modulo(w-v, n); got != want {
+					t.Fatalf("n=%d: Distance(%d,%d) = %d, want %d", n, w, v, got, want)
+				}
+				if got, want := f.Distance(v, w), modulo(v-w, n); got != want {
+					t.Fatalf("n=%d: Distance(%d,%d) = %d, want %d", n, v, w, got, want)
+				}
+			}
+			f.SetCWP(w)
+			if got, want := f.CWP(), modulo(w, n); got != want {
+				t.Fatalf("n=%d: SetCWP(%d) left CWP %d, want %d", n, w, got, want)
+			}
+		}
+	}
+}
+
+// TestCachedWindowProperty drives random sequences of every operation
+// that moves the CWP or rewrites window contents and checks, after each
+// step, that the cached current window reads exactly what the general
+// window decode reads for the current slot.
+func TestCachedWindowProperty(t *testing.T) {
+	prop := func(size uint8, ops []uint16, vals []uint32) bool {
+		n := MinWindows + int(size)%(MaxWindows-MinWindows+1)
+		f := NewFile(n)
+		val := func(i int) uint32 {
+			if len(vals) == 0 {
+				return uint32(i) * 2654435761
+			}
+			return vals[i%len(vals)]
+		}
+		for i, op := range ops {
+			arg := int(op >> 4)
+			switch op % 10 {
+			case 0:
+				f.SetCWP(arg - 2*n) // exercises the wrap outside [0, n)
+			case 1:
+				f.Save()
+			case 2:
+				f.Restore()
+			case 3:
+				f.SetWIM(MaskOf(uint64(val(i))))
+			case 4:
+				var buf [WindowWords]uint32
+				for k := range buf {
+					buf[k] = val(i + k)
+				}
+				f.FillWindow(arg, &buf)
+			case 5:
+				f.CopyInsToOuts(arg)
+			case 6:
+				f.ClearWindow(arg)
+			case 7:
+				f.SetReg(arg%32, val(i))
+			case 8:
+				f.SetRegW(arg, arg%32, val(i))
+			case 9:
+				f.SetInvalid(arg, arg%2 == 0)
+			}
+			for r := 0; r < 32; r++ {
+				if f.Reg(r) != f.RegW(f.CWP(), r) {
+					t.Logf("n=%d op %d (%d): Reg(%d) = %#x, RegW(%d, %d) = %#x",
+						n, i, op%10, r, f.Reg(r), f.CWP(), r, f.RegW(f.CWP(), r))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSetRegVisibleEverywhere checks that a write through the cached
+// current window lands in the same storage RegW, Ins, Locals and Outs
+// read, including the out registers' alias in the window above.
+func TestSetRegVisibleEverywhere(t *testing.T) {
+	for _, n := range []int{MinWindows, 3, 8, MaxWindows} {
+		f := NewFile(n)
+		for _, cwp := range []int{0, 1, n - 1} {
+			f.SetCWP(cwp)
+			for r := 1; r < 32; r++ {
+				f.SetReg(r, uint32(1000*cwp+r))
+			}
+			for r := 1; r < 32; r++ {
+				want := uint32(1000*cwp + r)
+				if got := f.RegW(cwp, r); got != want {
+					t.Fatalf("n=%d cwp=%d: RegW(r%d) = %d, want %d", n, cwp, r, got, want)
+				}
+				var got uint32
+				switch {
+				case r < RegO0:
+					got = f.RegW(f.Below(cwp), r) // globals are shared
+				case r < RegL0:
+					got = f.Outs(cwp)[r-RegO0]
+					if alias := f.Ins(f.Above(cwp))[r-RegO0]; alias != want {
+						t.Fatalf("n=%d cwp=%d: out r%d not aliased to the ins above (%d)", n, cwp, r, alias)
+					}
+				case r < RegI0:
+					got = f.Locals(cwp)[r-RegL0]
+				default:
+					got = f.Ins(cwp)[r-RegI0]
+				}
+				if got != want {
+					t.Fatalf("n=%d cwp=%d: r%d reads %d through its partition, want %d", n, cwp, r, got, want)
+				}
+			}
+			if f.Reg(0) != 0 {
+				t.Fatalf("n=%d: %%g0 = %d", n, f.Reg(0))
+			}
+		}
+	}
+}
+
+// BenchmarkRegAccess measures Reg and SetReg over all four partitions
+// while the CWP moves around the file, as a call-heavy guest does.
+func BenchmarkRegAccess(b *testing.B) {
+	for _, n := range []int{8, 256} {
+		b.Run(fmt.Sprintf("windows=%d", n), func(b *testing.B) {
+			f := NewFile(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var s uint32
+			for i := 0; i < b.N; i++ {
+				if i%(2*n) < n {
+					f.Save()
+				} else {
+					f.Restore()
+				}
+				for r := 0; r < 32; r++ {
+					f.SetReg(r, uint32(i+r))
+					s += f.Reg(r)
+				}
+			}
+			regSink = s
+		})
+	}
+}
+
+var regSink uint32

@@ -840,7 +840,9 @@ func (e *Env) Work(n uint64) {
 // (taking an overflow trap if needed), fn runs in the new window, and a
 // restore instruction returns (taking an underflow trap if needed). Up
 // to six word arguments are passed in the out registers, appearing to fn
-// as its in registers, exactly as in the SPARC ABI.
+// as its in registers, exactly as in the SPARC ABI. A call that would
+// take the thread past its memory save area fails the thread with a
+// fault.InvalidWindowOp guest fault.
 func (e *Env) Call(fn func(*Env), args ...uint32) {
 	if len(args) > 6 {
 		panic("sched: more than 6 register arguments")
@@ -853,6 +855,15 @@ func (e *Env) Call(fn func(*Env), args ...uint32) {
 	}
 	for i, a := range args {
 		e.k.mgr.SetReg(8+i, a) // %o0..%o5
+	}
+	if t := e.tcb.Core; t.SaveAreaFull() {
+		e.Fail(&fault.GuestFault{
+			Kind:   fault.InvalidWindowOp,
+			Thread: e.tcb.name,
+			CWP:    -1,
+			Cycle:  e.k.cyc.Total(),
+			Detail: fmt.Sprintf("save past the %d-frame save area", t.SaveAreaFrames()),
+		})
 	}
 	e.k.mgr.Save()
 	fn(e)
