@@ -30,7 +30,7 @@ func benchSpell(b *testing.B, scheme core.Scheme, windows int, policy sched.Poli
 	}
 	var r harness.Result
 	for i := 0; i < b.N; i++ {
-		r = harness.RunSpell(scheme, windows, policy, bh, harness.QuickSizes)
+		r = harness.CellSpec{Scheme: scheme, Windows: windows, Policy: policy, Behavior: bh, Sizes: harness.QuickSizes}.Run()
 	}
 	b.ReportMetric(float64(r.Cycles), "simcycles")
 	b.ReportMetric(r.Counters.AvgSwitchCycles(), "cyc/switch")
@@ -45,7 +45,7 @@ func BenchmarkTable1(b *testing.B) {
 		b.Run(bh.Name, func(b *testing.B) {
 			var r harness.Result
 			for i := 0; i < b.N; i++ {
-				r = harness.RunSpell(core.SchemeSP, 32, sched.FIFO, bh, harness.QuickSizes)
+				r = harness.CellSpec{Scheme: core.SchemeSP, Windows: 32, Policy: sched.FIFO, Behavior: bh, Sizes: harness.QuickSizes}.Run()
 			}
 			b.ReportMetric(float64(r.Counters.Switches), "switches")
 			b.ReportMetric(float64(r.Counters.Saves), "saves")
@@ -91,7 +91,7 @@ func BenchmarkFig11(b *testing.B) {
 func BenchmarkFig11EndToEnd(b *testing.B) {
 	var f harness.Figure
 	for i := 0; i < b.N; i++ {
-		f = harness.RunFig11(harness.QuickSizes, benchWindows)
+		f = harness.RunFig11With(harness.QuickSizes, benchWindows, harness.RunSerial)
 	}
 	if len(f.Series) == 0 {
 		b.Fatal("empty figure")

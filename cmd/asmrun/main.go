@@ -15,11 +15,12 @@ import (
 	"strings"
 
 	"cyclicwin"
+	"cyclicwin/internal/regwin"
 )
 
 func main() {
 	schemeFlag := flag.String("scheme", "SP", "window management scheme: NS, SNP or SP")
-	windows := flag.Int("windows", 8, "number of register windows (2..32)")
+	windows := flag.Int("windows", 8, fmt.Sprintf("number of register windows (%d..%d)", regwin.MinWindows, regwin.MaxWindows))
 	entry := flag.String("entry", "start", "entry label")
 	list := flag.Bool("list", false, "print a disassembly listing and exit")
 	stats := flag.Bool("stats", false, "print window statistics")
@@ -29,6 +30,10 @@ func main() {
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: asmrun [flags] prog.s")
+		os.Exit(2)
+	}
+	if *windows < regwin.MinWindows || *windows > regwin.MaxWindows {
+		fmt.Fprintf(os.Stderr, "asmrun: window count %d outside %d..%d\n", *windows, regwin.MinWindows, regwin.MaxWindows)
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))

@@ -17,11 +17,12 @@ import (
 
 	"cyclicwin"
 	"cyclicwin/internal/corpus"
+	"cyclicwin/internal/regwin"
 )
 
 func main() {
 	schemeFlag := flag.String("scheme", "SP", "window management scheme: NS, SNP or SP")
-	windows := flag.Int("windows", 8, "number of register windows (2..32)")
+	windows := flag.Int("windows", 8, fmt.Sprintf("number of register windows (%d..%d)", regwin.MinWindows, regwin.MaxWindows))
 	policyFlag := flag.String("policy", "fifo", "scheduling policy: fifo or ws (working set)")
 	m := flag.Int("m", 4, "buffer size M (file-side streams S1, S4..S6)")
 	n := flag.Int("n", 4, "buffer size N (spell-side streams S2, S3)")
@@ -40,9 +41,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spellcheck: unknown scheme %q\n", *schemeFlag)
 		os.Exit(2)
 	}
-	policy := cyclicwin.FIFO
-	if strings.EqualFold(*policyFlag, "ws") {
+	if *windows < regwin.MinWindows || *windows > regwin.MaxWindows {
+		fmt.Fprintf(os.Stderr, "spellcheck: window count %d outside %d..%d\n", *windows, regwin.MinWindows, regwin.MaxWindows)
+		os.Exit(2)
+	}
+	var policy cyclicwin.Policy
+	switch strings.ToLower(*policyFlag) {
+	case "fifo":
+		policy = cyclicwin.FIFO
+	case "ws":
 		policy = cyclicwin.WorkingSet
+	default:
+		fmt.Fprintf(os.Stderr, "spellcheck: unknown policy %q (want fifo or ws)\n", *policyFlag)
+		os.Exit(2)
 	}
 
 	source := corpus.Draft()

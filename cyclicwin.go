@@ -27,11 +27,11 @@ import (
 	"cyclicwin/internal/fault"
 	"cyclicwin/internal/isa"
 	"cyclicwin/internal/mem"
+	"cyclicwin/internal/obs"
 	"cyclicwin/internal/sched"
 	"cyclicwin/internal/spell"
 	"cyclicwin/internal/stats"
 	"cyclicwin/internal/stream"
-	"cyclicwin/internal/trace"
 )
 
 // Scheme selects the window-management algorithm.
@@ -98,8 +98,9 @@ type Options struct {
 	// trap dispatch and switching, so software bookkeeping costs a few
 	// cycles while window transfers keep their memory cost.
 	HWAssist bool
-	// TraceLimit, when positive, enables event tracing keeping the most
-	// recent TraceLimit events; read them with Machine.Trace.
+	// TraceLimit, when positive, attaches an event recorder to the
+	// window manager keeping the most recent TraceLimit events; read
+	// them with Machine.Trace.
 	TraceLimit int
 	// Activity, when non-nil, records the Section 5 window-activity
 	// quantities during the run.
@@ -110,7 +111,7 @@ type Options struct {
 type ActivityRecorder = stats.ActivityRecorder
 
 // Trace is the event recorder attached with Options.TraceLimit.
-type Trace = trace.Manager
+type Trace = obs.Tracer
 
 // GuestFault is a typed guest-triggerable failure raised by the
 // machine-code interpreter (misaligned access, out-of-range memory,
@@ -131,11 +132,11 @@ type Machine struct {
 	manager core.Manager
 	kernel  *sched.Kernel
 	memory  *mem.Memory
-	tracer  *trace.Manager
+	tracer  *obs.Tracer
 }
 
 // NewMachine builds a machine with the given scheme and window count
-// (2..32) and default options.
+// (2..256) and default options.
 func NewMachine(scheme Scheme, windows int) *Machine {
 	return NewMachineOptions(scheme, windows, Options{})
 }
@@ -143,7 +144,7 @@ func NewMachine(scheme Scheme, windows int) *Machine {
 // NewMachineOptions builds a machine with explicit options.
 func NewMachineOptions(scheme Scheme, windows int, o Options) *Machine {
 	memory := mem.New()
-	var mgr core.Manager = core.New(scheme, core.Config{
+	mgr := core.New(scheme, core.Config{
 		Windows:      windows,
 		Memory:       memory,
 		SearchAlloc:  o.SearchAlloc,
@@ -151,13 +152,11 @@ func NewMachineOptions(scheme Scheme, windows int, o Options) *Machine {
 		HWAssist:     o.HWAssist,
 		Activity:     o.Activity,
 	})
-	m := &Machine{memory: memory}
+	m := &Machine{manager: mgr, memory: memory, kernel: sched.NewKernel(mgr, o.Policy)}
 	if o.TraceLimit > 0 {
-		m.tracer = trace.New(mgr, o.TraceLimit)
-		mgr = m.tracer
+		m.tracer = obs.NewTracer(o.TraceLimit)
+		m.tracer.Attach(mgr)
 	}
-	m.manager = mgr
-	m.kernel = sched.NewKernel(mgr, o.Policy)
 	return m
 }
 

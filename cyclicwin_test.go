@@ -1,6 +1,7 @@
 package cyclicwin
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -200,4 +201,42 @@ func TestResidentAndWake(t *testing.T) {
 		m.Wake(sleeper)
 	})
 	m.Run()
+}
+
+// TestTracedFaultMatchesUntraced pins that tracing is invisible to the
+// machine-code interpreter: a guest fault raised two frames deep
+// reports the same window context (CWP 6 after two saves from slot 0
+// of an 8-window SP file) whether or not Options.TraceLimit is set.
+func TestTracedFaultMatchesUntraced(t *testing.T) {
+	prog, err := Assemble(`
+start:
+	save %sp, -96, %sp
+	save %sp, -96, %sp
+	mov 0x101, %o1
+	ld [%o1], %o2
+	ta 0
+`, 0x1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(traceLimit int) *GuestFault {
+		t.Helper()
+		m := NewMachineOptions(SP, 8, Options{TraceLimit: traceLimit})
+		_, err := m.RunProgram(prog, "start", 1000)
+		var gf *GuestFault
+		if !errors.As(err, &gf) {
+			t.Fatalf("TraceLimit %d: got %v, want a guest fault", traceLimit, err)
+		}
+		return gf
+	}
+	plain, traced := run(0), run(64)
+	if plain.Error() != traced.Error() {
+		t.Errorf("traced fault differs:\n untraced %s\n traced   %s", plain, traced)
+	}
+	if plain.CWP != traced.CWP {
+		t.Errorf("traced fault CWP %d, untraced %d", traced.CWP, plain.CWP)
+	}
+	if plain.CWP != 6 {
+		t.Errorf("fault CWP %d, want 6", plain.CWP)
+	}
 }

@@ -2,6 +2,7 @@ package cyclicwin_test
 
 import (
 	"fmt"
+	"os"
 
 	"cyclicwin"
 )
@@ -92,4 +93,42 @@ double:
 	fmt.Println("result register o0 =", cpu.Reg(8))
 	// Output:
 	// result register o0 = 12
+}
+
+// Options.TraceLimit records every window-management event; Render
+// prints one line per event with a map of the window file (* current,
+// o valid, . invalid) and Summarise totals the events by kind.
+func ExampleMachine_Trace() {
+	m := cyclicwin.NewMachineOptions(cyclicwin.SP, 4, cyclicwin.Options{TraceLimit: 64})
+	m.Spawn("a", func(e *cyclicwin.Env) {
+		e.Call(func(e *cyclicwin.Env) {
+			e.Call(func(e *cyclicwin.Env) { e.Yield() })
+		})
+	})
+	m.Spawn("b", func(e *cyclicwin.Env) {
+		e.Call(func(e *cyclicwin.Env) {})
+	})
+	if err := m.Run(); err != nil {
+		panic(err)
+	}
+	m.Trace().Render(os.Stdout)
+	m.Trace().Summarise(os.Stdout)
+	// Output:
+	// seq      cycle  thr event          cost  moved  cwp windows (*=current o=valid .=invalid)
+	//      0         93    0 switch           93      0    0 *...
+	//      1        124    0 save/OVF         31      0    3 o..*
+	//      2        155    0 save/OVF         31      0    2 o.*o
+	//      3        336    1 switch          181      2    0 *...
+	//      4        403    1 save/OVF         67      1    3 o..*
+	//      5        404    1 restore           1      0    0 *..o
+	//      6        404    1 exit              0      0    0 *.oo
+	//      7        540    0 switch          136      1    0 *...
+	//      8        604    0 restore/UNF      64      1    0 *...
+	//      9        668    0 restore/UNF      64      1    0 *...
+	//     10        668    0 exit              0      0    0 *..o
+	// switch              3 events          410 cycles
+	// restore             1 events            1 cycles
+	// save/OVF            3 events          129 cycles
+	// restore/UNF         2 events          128 cycles
+	// exit                2 events            0 cycles
 }

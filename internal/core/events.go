@@ -7,17 +7,15 @@ import (
 )
 
 // This file is the core half of the observability layer
-// (internal/obs): a nil-checked event hook, in the same spirit as the
-// interpreter's CPU.OnStep, that reports every window-management
-// operation — context switches, saves, restores (with their traps) and
-// exits — with cycle timestamps and transfer counts. With no hook
-// installed the cost is one nil check and an integer increment per
-// operation, so the default configuration is observationally identical
-// to an uninstrumented machine (the figure goldens pin this).
+// (internal/obs): a nil-checked event hook that reports every
+// window-management operation — context switches, saves, restores
+// (with their traps) and exits — with cycle timestamps and transfer
+// counts. With no hook installed the cost is one nil check and an
+// integer increment per operation, so the default configuration is
+// observationally identical to an uninstrumented machine (the figure
+// goldens pin this).
 
-// EventKind classifies one window-management event. The order mirrors
-// internal/trace's Kind values so the decorator can render the same
-// stream.
+// EventKind classifies one window-management event.
 type EventKind uint8
 
 // Event kinds.
@@ -41,7 +39,7 @@ const (
 	EvMigrate
 )
 
-// String names the kind, matching internal/trace's rendering.
+// String names the kind as trace renderings print it.
 func (k EventKind) String() string {
 	switch k {
 	case EvSwitch:
@@ -89,8 +87,8 @@ type Event struct {
 type EventHook func(Event)
 
 // EventSource is implemented by managers that can report window events
-// (the NS, SNP and SP schemes; the Reference oracle does not). Passing
-// nil removes the hook.
+// (the NS, SNP and SP schemes and the Reference oracle). Passing nil
+// removes the hook.
 type EventSource interface {
 	SetEventHook(EventHook)
 }
@@ -100,8 +98,7 @@ type EventSource interface {
 func (m *machine) SetEventHook(h EventHook) { m.onEvent = h }
 
 // evSnap is the counter state captured at the start of an event scope;
-// evEnd reports the event from the deltas, exactly as the trace
-// decorator infers traps and transfers.
+// evEnd reports the event from the deltas around the operation.
 type evSnap struct {
 	cycles uint64
 	ovf    uint64
@@ -115,8 +112,7 @@ type evSnap struct {
 
 // evBegin opens an event scope. Scopes nest (SwitchFlush runs Switch
 // inside itself); only the outermost scope emits, so a compound
-// operation reports as one event — the same granularity as decorating
-// the public Manager methods.
+// operation reports as one event per public Manager call.
 func (m *machine) evBegin() evSnap {
 	m.evNest++
 	if m.onEvent == nil || m.evNest > 1 {

@@ -22,6 +22,7 @@ type refFrame struct {
 // identical operation sequences. It charges no cycles and takes no
 // traps.
 type Reference struct {
+	onEvent EventHook
 	running *Thread
 	frames  map[*Thread][]refFrame
 	globals [regwin.NGlobals]uint32
@@ -65,24 +66,38 @@ func (r *Reference) Running() *Thread { return r.running }
 // windows a started thread is always resident.
 func (r *Reference) Resident(t *Thread) bool { return len(r.frames[t]) > 0 }
 
-// Switch schedules t. No window moves in the infinite-window model.
-func (r *Reference) Switch(t *Thread) {
-	if t == r.running {
-		return
+// SetEventHook implements EventSource. The oracle charges no cycles,
+// moves no windows and has no window file, so its events carry only
+// the kind, the thread and the clock: Cost, Moved, CWP and WIM stay 0.
+func (r *Reference) SetEventHook(h EventHook) { r.onEvent = h }
+
+func (r *Reference) emit(kind EventKind, thread int) {
+	if r.onEvent != nil {
+		r.onEvent(Event{Cycle: r.cyc.Total(), Kind: kind, Thread: thread})
 	}
-	if out := r.running; out != nil {
-		out.Stats.Suspensions++
-	}
-	if len(r.frames[t]) == 0 {
-		r.frames[t] = []refFrame{{}}
-	}
-	r.running = t
-	r.cnt.Switches++
-	r.cnt.ZeroTransferSwitches++
 }
 
-// SwitchFlush is identical to Switch: there is nothing to flush.
-func (r *Reference) SwitchFlush(t *Thread) { r.Switch(t) }
+// Switch schedules t. No window moves in the infinite-window model.
+func (r *Reference) Switch(t *Thread) { r.switchTo(t, EvSwitch) }
+
+// SwitchFlush is identical to Switch: there is nothing to flush; only
+// the reported event kind differs.
+func (r *Reference) SwitchFlush(t *Thread) { r.switchTo(t, EvSwitchFlush) }
+
+func (r *Reference) switchTo(t *Thread, kind EventKind) {
+	if t != r.running {
+		if out := r.running; out != nil {
+			out.Stats.Suspensions++
+		}
+		if len(r.frames[t]) == 0 {
+			r.frames[t] = []refFrame{{}}
+		}
+		r.running = t
+		r.cnt.Switches++
+		r.cnt.ZeroTransferSwitches++
+	}
+	r.emit(kind, t.ID)
+}
 
 func (r *Reference) top() *refFrame {
 	fs := r.frames[r.running]
@@ -99,6 +114,7 @@ func (r *Reference) Save() {
 	t.Stats.Saves++
 	r.frames[t] = append(r.frames[t], refFrame{ins: r.top().outs})
 	t.depth++
+	r.emit(EvSave, t.ID)
 }
 
 // Restore pops a frame; the callee's ins flow back to the caller's outs.
@@ -117,6 +133,7 @@ func (r *Reference) Restore() {
 	r.frames[t] = fs[:len(fs)-1]
 	r.top().outs = callee.ins
 	t.depth--
+	r.emit(EvRestore, t.ID)
 }
 
 // Exit discards the running thread's frames.
@@ -124,9 +141,11 @@ func (r *Reference) Exit() {
 	if r.running == nil {
 		panic("core: Exit with no running thread")
 	}
-	delete(r.frames, r.running)
-	r.running.depth = 0
+	t := r.running
+	delete(r.frames, t)
+	t.depth = 0
 	r.running = nil
+	r.emit(EvExit, t.ID)
 }
 
 // Reg reads register n of the running thread's current frame.

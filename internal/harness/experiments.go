@@ -34,7 +34,7 @@ type Table1 struct {
 func RunTable1(sz Sizes) Table1 {
 	t1 := Table1{Sizes: sz, Suspensions: map[string][7]uint64{}, Saves: map[string]uint64{}}
 	for _, b := range Behaviors {
-		r := RunSpell(core.SchemeSP, 32, sched.FIFO, b, sz)
+		r := CellSpec{Scheme: core.SchemeSP, Windows: 32, Policy: sched.FIFO, Behavior: b, Sizes: sz}.Run()
 		t1.Suspensions[b.Name] = r.ThreadSuspensions
 		t1.TotalSaves = r.Counters.Saves
 	}
@@ -299,51 +299,38 @@ func sweep(title, ylabel string, policy sched.Policy, behaviors []Behavior, sz S
 	return fig
 }
 
-// RunFig11 is the high-concurrency execution-time comparison.
-func RunFig11(sz Sizes, windows []int) Figure { return RunFig11With(sz, windows, RunSerial) }
-
-// RunFig11With is RunFig11 with an explicit cell runner.
+// RunFig11With is the high-concurrency execution-time comparison, its
+// cells executed by run (RunSerial in-process).
 func RunFig11With(sz Sizes, windows []int, run Runner) Figure {
 	return sweep("Figure 11: Performance at high concurrency", "execution cycles",
 		sched.FIFO, Behaviors[:3], sz, windows, run,
 		func(r Result) float64 { return float64(r.Cycles) })
 }
 
-// RunFig12 is the average context-switch time at high concurrency.
-func RunFig12(sz Sizes, windows []int) Figure { return RunFig12With(sz, windows, RunSerial) }
-
-// RunFig12With is RunFig12 with an explicit cell runner.
+// RunFig12With is the average context-switch time at high
+// concurrency.
 func RunFig12With(sz Sizes, windows []int, run Runner) Figure {
 	return sweep("Figure 12: Average time of a context switch at high concurrency", "cycles/switch",
 		sched.FIFO, Behaviors[:3], sz, windows, run,
 		func(r Result) float64 { return r.Counters.AvgSwitchCycles() })
 }
 
-// RunFig13 is the window-trap probability at high concurrency.
-func RunFig13(sz Sizes, windows []int) Figure { return RunFig13With(sz, windows, RunSerial) }
-
-// RunFig13With is RunFig13 with an explicit cell runner.
+// RunFig13With is the window-trap probability at high concurrency.
 func RunFig13With(sz Sizes, windows []int, run Runner) Figure {
 	return sweep("Figure 13: Probability of window traps at high concurrency", "traps/(save+restore)",
 		sched.FIFO, Behaviors[:3], sz, windows, run,
 		func(r Result) float64 { return r.Counters.TrapProbability() })
 }
 
-// RunFig14 is the low-concurrency execution-time comparison.
-func RunFig14(sz Sizes, windows []int) Figure { return RunFig14With(sz, windows, RunSerial) }
-
-// RunFig14With is RunFig14 with an explicit cell runner.
+// RunFig14With is the low-concurrency execution-time comparison.
 func RunFig14With(sz Sizes, windows []int, run Runner) Figure {
 	return sweep("Figure 14: Performance at low concurrency", "execution cycles",
 		sched.FIFO, Behaviors[3:], sz, windows, run,
 		func(r Result) float64 { return float64(r.Cycles) })
 }
 
-// RunFig15 is the high-concurrency comparison under working-set
+// RunFig15With is the high-concurrency comparison under working-set
 // scheduling.
-func RunFig15(sz Sizes, windows []int) Figure { return RunFig15With(sz, windows, RunSerial) }
-
-// RunFig15With is RunFig15 with an explicit cell runner.
 func RunFig15With(sz Sizes, windows []int, run Runner) Figure {
 	return sweep("Figure 15: Working set scheduling at high concurrency", "execution cycles",
 		sched.WorkingSet, Behaviors[:3], sz, windows, run,
@@ -457,23 +444,18 @@ func RunAblationFlush(sz Sizes, windows int) []AblationFlush {
 	b, _ := BehaviorByName("high-medium")
 	var out []AblationFlush
 	for _, s := range []core.Scheme{core.SchemeSNP, core.SchemeSP} {
-		inSitu := RunSpell(s, windows, sched.FIFO, b, sz).Cycles
-		flush := runSpellAllFlushed(s, windows, b, sz)
-		out = append(out, AblationFlush{s, inSitu, flush})
+		o := SpellOpts{Config: core.Config{Windows: windows}, Scheme: s, Policy: sched.FIFO, Behavior: b, Sizes: sz}
+		inSitu := mustSpell(o).Cycles
+		// The counterfactual: every thread suspends with the flushing
+		// switch, writing all its resident windows back to memory.
+		o.OnKernel = func(k *sched.Kernel) {
+			for _, t := range k.Threads() {
+				t.SetFlushOnSwitch(true)
+			}
+		}
+		out = append(out, AblationFlush{s, inSitu, mustSpell(o).Cycles})
 	}
 	return out
-}
-
-func runSpellAllFlushed(s core.Scheme, windows int, b Behavior, sz Sizes) uint64 {
-	w := loadWorkload(sz)
-	mgr := core.New(s, core.Config{Windows: windows})
-	k := sched.NewKernel(mgr, sched.FIFO)
-	p := spellPipelineAllFlushed(k, b, w)
-	if err := k.Run(); err != nil {
-		panic(err) // the fixed workload runs clean
-	}
-	_ = p
-	return mgr.Cycles().Total()
 }
 
 // AblationSearchAlloc compares SNP's simple allocation against the
@@ -490,8 +472,10 @@ func RunAblationSearchAlloc(sz Sizes, windows []int) []AblationSearchAlloc {
 	b, _ := BehaviorByName("high-fine")
 	var out []AblationSearchAlloc
 	for _, n := range windows {
-		simple := RunSpellConfig(core.Config{Windows: n}, core.SchemeSNP, sched.FIFO, b, sz)
-		search := RunSpellConfig(core.Config{Windows: n, SearchAlloc: true}, core.SchemeSNP, sched.FIFO, b, sz)
+		o := SpellOpts{Config: core.Config{Windows: n}, Scheme: core.SchemeSNP, Policy: sched.FIFO, Behavior: b, Sizes: sz}
+		simple := mustSpell(o)
+		o.Config.SearchAlloc = true
+		search := mustSpell(o)
 		out = append(out, AblationSearchAlloc{
 			Windows:      n,
 			SimpleCycles: simple.Cycles, Search: search.Cycles,
@@ -517,7 +501,7 @@ func RunAblationRestoreEmulation(sz Sizes, windows int) []AblationRestoreEmulati
 	b, _ := BehaviorByName("high-fine")
 	var out []AblationRestoreEmulation
 	for _, s := range []core.Scheme{core.SchemeSNP, core.SchemeSP} {
-		r := RunSpell(s, windows, sched.FIFO, b, sz)
+		r := CellSpec{Scheme: s, Windows: windows, Policy: sched.FIFO, Behavior: b, Sizes: sz}.Run()
 		out = append(out, AblationRestoreEmulation{
 			Scheme:         s,
 			UnderflowTraps: r.Counters.UnderflowTraps,

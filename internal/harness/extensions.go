@@ -6,7 +6,6 @@ import (
 
 	"cyclicwin/internal/core"
 	"cyclicwin/internal/sched"
-	"cyclicwin/internal/spell"
 	"cyclicwin/internal/stats"
 )
 
@@ -45,26 +44,18 @@ const activityPeriod = 14
 // saturate.
 func RunActivity(sz Sizes) []ActivityRow {
 	var rows []ActivityRow
-	w := loadWorkload(sz)
 	for _, b := range Behaviors {
 		rec := &stats.ActivityRecorder{}
-		mgr := core.New(core.SchemeSP, core.Config{Windows: 32, Activity: rec})
-		k := sched.NewKernel(mgr, sched.FIFO)
-		if _, err := spell.New(k, spell.Config{
-			M: b.M, N: b.N,
-			Source: w.source, MainDict: w.main, ForbiddenDict: w.forbidden,
-		}); err != nil {
-			panic(err) // sweep behaviours have positive M and N
-		}
-		if err := k.Run(); err != nil {
-			panic(err) // the fixed workload runs clean
-		}
+		r := mustSpell(SpellOpts{
+			Config: core.Config{Windows: 32, Activity: rec},
+			Scheme: core.SchemeSP, Policy: sched.FIFO, Behavior: b, Sizes: sz,
+		})
 		rows = append(rows, ActivityRow{
 			Behavior:    b,
 			PerThread:   rec.MeanPerThread(),
 			Total:       rec.TotalActivity(activityPeriod),
 			Concurrency: rec.Concurrency(activityPeriod),
-			Switches:    mgr.Counters().Switches,
+			Switches:    r.Counters.Switches,
 		})
 	}
 	return rows
@@ -99,7 +90,7 @@ func RunTail(sz Sizes, windows int) []TailRow {
 	b, _ := BehaviorByName("high-medium")
 	var rows []TailRow
 	for _, s := range core.Schemes {
-		r := RunSpell(s, windows, sched.FIFO, b, sz)
+		r := CellSpec{Scheme: s, Windows: windows, Policy: sched.FIFO, Behavior: b, Sizes: sz}.Run()
 		d := &r.Counters.SwitchCost
 		rows = append(rows, TailRow{
 			Scheme:  s,
@@ -144,8 +135,10 @@ func RunHWProjection(sz Sizes, windows []int) []HWRow {
 	var rows []HWRow
 	for _, s := range core.Schemes {
 		for _, n := range windows {
-			soft := RunSpellConfig(core.Config{Windows: n}, s, sched.FIFO, b, sz)
-			hard := RunSpellConfig(core.Config{Windows: n, HWAssist: true}, s, sched.FIFO, b, sz)
+			o := SpellOpts{Config: core.Config{Windows: n}, Scheme: s, Policy: sched.FIFO, Behavior: b, Sizes: sz}
+			soft := mustSpell(o)
+			o.Config.HWAssist = true
+			hard := mustSpell(o)
 			rows = append(rows, HWRow{
 				Scheme:    s,
 				Windows:   n,
@@ -187,8 +180,10 @@ func RunTransferSweep(sz Sizes, windows int, depths []int) []TransferRow {
 	var rows []TransferRow
 	for _, s := range core.Schemes {
 		for _, k := range depths {
-			r := RunSpellConfig(core.Config{Windows: windows, TrapTransfer: k},
-				s, sched.FIFO, b, sz)
+			r := mustSpell(SpellOpts{
+				Config: core.Config{Windows: windows, TrapTransfer: k},
+				Scheme: s, Policy: sched.FIFO, Behavior: b, Sizes: sz,
+			})
 			rows = append(rows, TransferRow{
 				Scheme:   s,
 				Transfer: k,

@@ -152,7 +152,7 @@ func TestExtensionRenderers(t *testing.T) {
 
 // TestFigureCSV pins the CSV escape hatch.
 func TestFigureCSV(t *testing.T) {
-	fig := RunFig12(testSizes, []int{4, 8})
+	fig := RunFig12With(testSizes, []int{4, 8}, RunSerial)
 	var sb strings.Builder
 	if err := fig.WriteCSV(&sb); err != nil {
 		t.Fatal(err)

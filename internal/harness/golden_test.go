@@ -20,17 +20,17 @@ func TestFigureOutputsGolden(t *testing.T) {
 	var sb strings.Builder
 	figs := []struct {
 		name string
-		run  func(Sizes, []int) Figure
+		run  func(Sizes, []int, Runner) Figure
 	}{
-		{"fig11", RunFig11},
-		{"fig12", RunFig12},
-		{"fig13", RunFig13},
-		{"fig14", RunFig14},
-		{"fig15", RunFig15},
+		{"fig11", RunFig11With},
+		{"fig12", RunFig12With},
+		{"fig13", RunFig13With},
+		{"fig14", RunFig14With},
+		{"fig15", RunFig15With},
 	}
 	for _, fg := range figs {
 		sb.WriteString("== " + fg.name + " ==\n")
-		f := fg.run(sz, windows)
+		f := fg.run(sz, windows, RunSerial)
 		f.Render(&sb)
 		if err := f.WriteCSV(&sb); err != nil {
 			t.Fatalf("%s: WriteCSV: %v", fg.name, err)

@@ -143,15 +143,11 @@ func (c CellSpec) Run() Result {
 	if c.Threads > 0 {
 		return RunT3(c)
 	}
-	r, err := RunSpellWith(SpellOpts{
+	return mustSpell(SpellOpts{
 		Config: core.Config{Windows: c.Windows},
 		Scheme: c.Scheme, Policy: c.Policy, Behavior: c.Behavior, Sizes: c.Sizes,
 		Quantum: c.Quantum,
 	})
-	if err != nil {
-		panic(err) // the sweep behaviours and fixed workload cannot fail
-	}
-	return r
 }
 
 // Runner executes a batch of sweep cells and returns their results in
@@ -171,26 +167,10 @@ func RunSerial(cells []CellSpec) []Result {
 	return out
 }
 
-// RunSpell executes the seven-thread spell checker once.
-func RunSpell(scheme core.Scheme, windows int, policy sched.Policy, b Behavior, sz Sizes) Result {
-	return RunSpellConfig(core.Config{Windows: windows}, scheme, policy, b, sz)
-}
-
-// RunSpellConfig is RunSpell with full control over the machine
-// configuration (used by ablations). The sweep behaviours and fixed
-// workload cannot fail, so a failure here is a harness bug and panics.
-func RunSpellConfig(cfg core.Config, scheme core.Scheme, policy sched.Policy, b Behavior, sz Sizes) Result {
-	r, err := RunSpellWith(SpellOpts{
-		Config: cfg, Scheme: scheme, Policy: policy, Behavior: b, Sizes: sz,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// SpellOpts parameterises RunSpellWith beyond the sweep cell: the
-// cycle-budget watchdog and the chaos injector.
+// SpellOpts parameterises RunSpellWith, the one way a spell-checker
+// run is built: the machine configuration (ablation knobs, the
+// activity recorder), the cycle-budget watchdog, time-slicing, the
+// chaos injector and hooks onto the manager and the kernel.
 type SpellOpts struct {
 	Config   core.Config
 	Scheme   core.Scheme
@@ -213,7 +193,8 @@ type SpellOpts struct {
 	OnManager func(core.Manager)
 	// OnKernel, when non-nil, receives the kernel after the workload's
 	// threads are spawned and before the run starts; the observability
-	// layer uses it to label thread ids in exported traces.
+	// layer uses it to label thread ids in exported traces, the flush
+	// ablation to mark every thread for the flushing switch.
 	OnKernel func(*sched.Kernel)
 }
 
@@ -265,4 +246,15 @@ func RunSpellWith(o SpellOpts) (Result, error) {
 	}
 	r.Misspelled = len(p.Misspelled())
 	return r, nil
+}
+
+// mustSpell runs a spell cell of the harness's own experiments, whose
+// behaviours and workload cannot fail: a failure is a harness bug and
+// panics.
+func mustSpell(o SpellOpts) Result {
+	r, err := RunSpellWith(o)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }

@@ -43,10 +43,10 @@ func TestTable2MatchesPaperRanges(t *testing.T) {
 // on the scheme or the window count under FIFO scheduling.
 func TestTable1SchemeIndependence(t *testing.T) {
 	b, _ := BehaviorByName("high-medium")
-	ref := RunSpell(core.SchemeSP, 32, sched.FIFO, b, testSizes)
+	ref := CellSpec{Scheme: core.SchemeSP, Windows: 32, Policy: sched.FIFO, Behavior: b, Sizes: testSizes}.Run()
 	for _, s := range core.Schemes {
 		for _, n := range []int{5, 16} {
-			r := RunSpell(s, n, sched.FIFO, b, testSizes)
+			r := CellSpec{Scheme: s, Windows: n, Policy: sched.FIFO, Behavior: b, Sizes: testSizes}.Run()
 			if r.ThreadSuspensions != ref.ThreadSuspensions {
 				t.Errorf("%v windows=%d suspensions %v != reference %v",
 					s, n, r.ThreadSuspensions, ref.ThreadSuspensions)
@@ -105,7 +105,7 @@ func TestTable1GranularityOrdering(t *testing.T) {
 //  4. the advantage of the sharing schemes grows as granularity
 //     becomes finer.
 func TestFig11Shapes(t *testing.T) {
-	fig := RunFig11(testSizes, testWindows)
+	fig := RunFig11With(testSizes, testWindows, RunSerial)
 	for _, g := range []string{"fine", "medium", "coarse"} {
 		if w := fig.Winner(32, g); w != "SP/"+g {
 			t.Errorf("best scheme at 32 windows (%s) = %s, want SP", g, w)
@@ -136,7 +136,7 @@ func TestFig11Shapes(t *testing.T) {
 // close to the best case of Table 2 (93-98 for SP, 113-118 for SNP),
 // showing most switches move no window.
 func TestFig12SwitchTimeApproachesBestCase(t *testing.T) {
-	fig := RunFig12(testSizes, testWindows)
+	fig := RunFig12With(testSizes, testWindows, RunSerial)
 	sp := figValue(t, fig, "SP/fine", 32)
 	if sp > 98 {
 		t.Errorf("SP average switch at 32 windows = %.1f cycles, want within best-case range <= 98", sp)
@@ -155,7 +155,7 @@ func TestFig12SwitchTimeApproachesBestCase(t *testing.T) {
 // sharing schemes are also effective for fast procedure calls: trap
 // probability falls steeply with window count, far below NS.
 func TestFig13TrapProbabilityFalls(t *testing.T) {
-	fig := RunFig13(testSizes, testWindows)
+	fig := RunFig13With(testSizes, testWindows, RunSerial)
 	for _, g := range []string{"fine", "medium", "coarse"} {
 		at4 := figValue(t, fig, "SP/"+g, 4)
 		at32 := figValue(t, fig, "SP/"+g, 32)
@@ -174,8 +174,8 @@ func TestFig13TrapProbabilityFalls(t *testing.T) {
 // more windows to saturate than at high concurrency.
 func TestFig14LowConcurrencySaturatesLater(t *testing.T) {
 	windows := []int{4, 8, 12, 16, 32}
-	high := RunFig11(testSizes, windows)
-	low := RunFig14(testSizes, windows)
+	high := RunFig11With(testSizes, windows, RunSerial)
+	low := RunFig14With(testSizes, windows, RunSerial)
 	saturation := func(f Figure, label string) int {
 		final := figValue(t, f, label, 32)
 		for _, n := range windows {
@@ -197,8 +197,8 @@ func TestFig14LowConcurrencySaturatesLater(t *testing.T) {
 // significant loss at large window counts.
 func TestFig15WorkingSet(t *testing.T) {
 	windows := []int{7, 8, 32}
-	fifo := RunFig11(testSizes, windows)
-	ws := RunFig15(testSizes, windows)
+	fifo := RunFig11With(testSizes, windows, RunSerial)
+	ws := RunFig15With(testSizes, windows, RunSerial)
 	for _, n := range []int{7, 8} {
 		f := figValue(t, fifo, "SP/fine", n)
 		w := figValue(t, ws, "SP/fine", n)
@@ -267,7 +267,7 @@ func TestRenderers(t *testing.T) {
 		t.Errorf("Table 2 rendering reports out-of-range rows:\n%s", sb.String())
 	}
 	sb.Reset()
-	fig := RunFig11(testSizes, []int{4, 8})
+	fig := RunFig11With(testSizes, []int{4, 8}, RunSerial)
 	fig.Render(&sb)
 	if !strings.Contains(sb.String(), "windows") {
 		t.Error("figure rendering lacks header")
@@ -297,7 +297,7 @@ func TestBehaviorByName(t *testing.T) {
 func TestResultChecksum(t *testing.T) {
 	var want int
 	for i, b := range Behaviors {
-		r := RunSpell(core.SchemeSNP, 8, sched.WorkingSet, b, testSizes)
+		r := CellSpec{Scheme: core.SchemeSNP, Windows: 8, Policy: sched.WorkingSet, Behavior: b, Sizes: testSizes}.Run()
 		if i == 0 {
 			want = r.Misspelled
 			if want == 0 {

@@ -23,7 +23,7 @@ var parSizes = Sizes{Draft: 2000, Dict: 3001}
 // cycles, all counters, per-thread suspensions, output checksum — to
 // be identical to the serial run.
 func TestParallelRunsIdentical(t *testing.T) {
-	golden := RunSpell(core.SchemeSP, 8, sched.FIFO, Behaviors[0], parSizes)
+	golden := CellSpec{Scheme: core.SchemeSP, Windows: 8, Policy: sched.FIFO, Behavior: Behaviors[0], Sizes: parSizes}.Run()
 
 	const n = 4
 	results := make([]Result, n)
@@ -32,7 +32,7 @@ func TestParallelRunsIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = RunSpell(core.SchemeSP, 8, sched.FIFO, Behaviors[0], parSizes)
+			results[i] = CellSpec{Scheme: core.SchemeSP, Windows: 8, Policy: sched.FIFO, Behavior: Behaviors[0], Sizes: parSizes}.Run()
 		}(i)
 	}
 	wg.Wait()
@@ -50,7 +50,7 @@ func TestParallelRunsIdentical(t *testing.T) {
 func TestParallelDistinctCellsIdentical(t *testing.T) {
 	goldens := make(map[core.Scheme]Result)
 	for _, s := range core.Schemes {
-		goldens[s] = RunSpell(s, 6, sched.FIFO, Behaviors[1], parSizes)
+		goldens[s] = CellSpec{Scheme: s, Windows: 6, Policy: sched.FIFO, Behavior: Behaviors[1], Sizes: parSizes}.Run()
 	}
 
 	results := make(map[core.Scheme]Result)
@@ -60,7 +60,7 @@ func TestParallelDistinctCellsIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(s core.Scheme) {
 			defer wg.Done()
-			r := RunSpell(s, 6, sched.FIFO, Behaviors[1], parSizes)
+			r := CellSpec{Scheme: s, Windows: 6, Policy: sched.FIFO, Behavior: Behaviors[1], Sizes: parSizes}.Run()
 			mu.Lock()
 			results[s] = r
 			mu.Unlock()

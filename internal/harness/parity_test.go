@@ -11,13 +11,13 @@ import (
 	"cyclicwin/internal/stats"
 )
 
-// deltaRecorder reimplements the legacy trace-decorator algorithm: it
-// wraps a core.Manager and reconstructs one event per call from the
-// cycle and counter deltas around it. The parity test runs the same
-// deterministic cell once under this recorder and once under the
-// hook-based obs.Tracer; every field of every event must agree, which
-// pins that the in-core event hook reports exactly what the decorator
-// used to infer.
+// deltaRecorder is the oracle for the in-core event hook: it wraps a
+// core.Manager and reconstructs one event per call from the cycle and
+// counter deltas around it, the algorithm of the trace decorator the
+// hook replaced. The parity test runs the same deterministic cell once
+// under this recorder and once under the hook-based obs.Tracer; every
+// field of every event must agree, which pins that each manager's hook
+// reports exactly what the deltas imply.
 type deltaRecorder struct {
 	core.Manager
 	file   *regwin.File
@@ -110,8 +110,11 @@ func runParityCell(t *testing.T, m core.Manager, b Behavior, sz Sizes) {
 }
 
 // TestTracerDecoratorParity is the fig11-style parity check: for every
-// scheme, a quick cell traced through the event hook produces exactly
-// the event sequence a delta-measuring decorator reconstructs.
+// scheme and the Reference oracle, a quick cell traced through the
+// event hook produces exactly the event sequence a delta-measuring
+// decorator reconstructs. The Reference rows pin the oracle's events
+// to zero cost, zero moves and an empty window state, switches to the
+// running thread included.
 func TestTracerDecoratorParity(t *testing.T) {
 	sz := Sizes{Draft: 2000, Dict: 3001}
 	cells := []struct {
@@ -121,7 +124,8 @@ func TestTracerDecoratorParity(t *testing.T) {
 		{4, "high-fine"},
 		{8, "low-medium"},
 	}
-	for _, scheme := range core.Schemes {
+	schemes := append(append([]core.Scheme{}, core.Schemes...), core.SchemeReference)
+	for _, scheme := range schemes {
 		for _, cell := range cells {
 			b, _ := BehaviorByName(cell.behavior)
 			cfg := core.Config{Windows: cell.windows}

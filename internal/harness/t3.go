@@ -81,15 +81,10 @@ func RunT3(c CellSpec) Result {
 	}
 }
 
-// RunCrossoverThreads sweeps the scheme comparison against thread
-// count at a fixed window file.
-func RunCrossoverThreads(sz Sizes, windows int, threads []int) Figure {
-	return RunCrossoverThreadsWith(sz, windows, threads, RunSerial)
-}
-
-// RunCrossoverThreadsWith is RunCrossoverThreads with an explicit cell
-// runner: execution cycles of the chain pipeline per scheme as the
-// thread count scales 8..256 over one window file. The paper's 4..32
+// RunCrossoverThreadsWith sweeps the scheme comparison against thread
+// count at a fixed window file, its cells executed by run: execution
+// cycles of the chain pipeline per scheme as the thread count scales
+// 8..256 over one window file. The paper's 4..32
 // figures hold the workload fixed and grow the file; this figure holds
 // the file fixed and grows the thread population past it, which is
 // where the schemes cross over.
@@ -125,15 +120,9 @@ func RunCrossoverThreadsWith(sz Sizes, windows int, threads []int, run Runner) F
 // n-th dispatch (0 = never), so smaller values mean more migration.
 var MigrationRates = []int{0, 16, 8, 4, 2, 1}
 
-// RunCrossoverMigration sweeps the scheme comparison against migration
-// cadence on a 4-core preemptive configuration.
-func RunCrossoverMigration(sz Sizes, windows, threads int, rates []int) Figure {
-	return RunCrossoverMigrationWith(sz, windows, threads, rates, RunSerial)
-}
-
-// RunCrossoverMigrationWith is RunCrossoverMigration with an explicit
-// cell runner: 4 cores, time-sliced, with a thread forced to another
-// core every rate-th dispatch. x = rate (0 means no migration); every
+// RunCrossoverMigrationWith sweeps the scheme comparison against
+// migration cadence, its cells executed by run: 4 cores, time-sliced,
+// with a thread forced to another core every rate-th dispatch. x = rate (0 means no migration); every
 // migration is priced as a forced flush, so schemes that keep more
 // state resident pay more per move.
 func RunCrossoverMigrationWith(sz Sizes, windows, threads int, rates []int, run Runner) Figure {

@@ -42,7 +42,7 @@ func TestT3SingleCoreMatchesPlainKernel(t *testing.T) {
 
 func TestCrossoverThreadsFigure(t *testing.T) {
 	threads := []int{4, 8, 16}
-	fig := RunCrossoverThreads(tinySizes, 8, threads)
+	fig := RunCrossoverThreadsWith(tinySizes, 8, threads, RunSerial)
 	if got, want := len(fig.Series), len(core.Schemes); got != want {
 		t.Fatalf("series = %d, want %d", got, want)
 	}
@@ -68,7 +68,7 @@ func TestCrossoverThreadsFigure(t *testing.T) {
 
 func TestCrossoverMigrationFigure(t *testing.T) {
 	rates := []int{0, 2}
-	fig := RunCrossoverMigration(tinySizes, 8, 12, rates)
+	fig := RunCrossoverMigrationWith(tinySizes, 8, 12, rates, RunSerial)
 	if got, want := len(fig.Series), len(core.Schemes); got != want {
 		t.Fatalf("series = %d, want %d", got, want)
 	}

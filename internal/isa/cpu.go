@@ -52,14 +52,6 @@ type CPU struct {
 	// Steps counts executed instructions (a runaway guard uses it).
 	Steps uint64
 
-	// OnStep, when non-nil, is called before each instruction executes
-	// with the fetch address and the decoded instruction. The nil check
-	// is the only cost when unset, so tracing hooks are allocation-free
-	// for everyone who does not use them. The hook must not mutate the
-	// machine and must not read the cycle counter (the fast path may
-	// hold batched cycles not yet flushed to it).
-	OnStep func(pc uint32, in *Instr)
-
 	// Fast-path state: the predecoded instruction cache with its
 	// current-page memo.
 	fast       bool
@@ -72,8 +64,8 @@ type CPU struct {
 	// file is the register file of a manager that exposes one (NS, SNP
 	// and SP). The fast path reads and writes the running thread's
 	// current window through it, and guest faults record its CWP. It is
-	// nil for the Reference oracle and for decorators such as the trace
-	// manager, which the fast path reaches through Mgr.Reg and SetReg.
+	// nil for the Reference oracle and for any manager wrapping a
+	// scheme, which the fast path reaches through Mgr.Reg and SetReg.
 	file *regwin.File
 	// chaos, when non-nil, is polled once per fast-path instruction for
 	// the icache-flush perturbation point (SetChaos).
@@ -159,9 +151,6 @@ func (c *CPU) Step() (yielded bool, err error) {
 	}
 	w := c.Mem.Load32(c.pc)
 	in := Decode(w)
-	if c.OnStep != nil {
-		c.OnStep(c.pc, &in)
-	}
 	next := c.pc + 4
 	cyc := c.Mgr.Cycles()
 	c.Steps++

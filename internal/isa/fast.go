@@ -15,15 +15,14 @@ import (
 //     stores into cached text invalidate the overwritten words.
 //   - register access: reads and writes index the register file's
 //     cached current window directly (regwin.File.Reg), which the file
-//     itself keeps current wherever the CWP moves; managers that do not
-//     expose their file (the Reference oracle, the trace decorator)
-//     fall back to Mgr.Reg.
+//     itself keeps current wherever the CWP moves; a manager that does
+//     not expose its file (the Reference oracle) falls back to Mgr.Reg.
 //   - cycle accounting: per-instruction cycles accumulate in c.pend and
 //     flush to the shared counter only at basic-block-observable points
 //     (before any Manager call, on yield/halt/error/limit, and when Run
-//     returns), so totals seen by any outside observer — including a
-//     trace decorator snapshotting around Save/Restore — are identical
-//     to the reference path's.
+//     returns), so totals seen by any outside observer — including an
+//     event hook stamping each Save/Restore — are identical to the
+//     reference path's.
 //
 // Any behavioural change here must keep fastpath_test.go green: the
 // differential tests execute both paths and require identical
@@ -99,9 +98,6 @@ func (c *CPU) runFast(limit uint64) (yielded bool, err error) {
 		}
 		pc := c.pc
 		in := c.fetch(pc)
-		if c.OnStep != nil {
-			c.OnStep(pc, in)
-		}
 		next := pc + 4
 		c.Steps++
 
@@ -236,8 +232,8 @@ func (c *CPU) arithFast(in *Instr, next *uint32) error {
 		}
 		// Operands were read in the caller's window; the manager moves
 		// the CWP (possibly through an overflow trap) and the result
-		// lands in the new window. Cycles flush first so a trace
-		// decorator's snapshots around Save match the reference path.
+		// lands in the new window. Cycles flush first so the event the
+		// manager reports for Save carries the reference path's stamp.
 		c.flushCycles()
 		c.Mgr.Save()
 		c.wrReg(in.Rd, a+b)

@@ -4,20 +4,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"cyclicwin/internal/core"
+	"cyclicwin/internal/regwin"
 )
 
-// Tracer records core window-management events into a bounded ring. It
-// is the low-overhead side of the observability layer: installing its
-// Hook costs the schemes one nil check per operation when disabled and
-// one ring store when enabled — no allocation, no locking (the
+// Tracer records core window-management events into a bounded ring:
+// the one recorder of the window-event stream, behind Chrome exports,
+// job traces and the text rendering of Render and Summarise. Attaching
+// it costs the manager one nil check per operation when detached and
+// one ring store when attached — no allocation, no locking (the
 // simulation is single-goroutine by construction).
 type Tracer struct {
-	ring  []core.Event
-	next  uint64 // total events ever recorded
-	limit int
-	names map[int]string
+	ring    []core.Event
+	next    uint64 // total events ever recorded
+	limit   int
+	names   map[int]string
+	windows int // window-file size read at Attach; 0 when the manager has none
 }
 
 // DefaultTraceLimit bounds a trace ring when the caller does not choose
@@ -37,19 +41,20 @@ func NewTracer(limit int) *Tracer {
 	return &Tracer{limit: limit, ring: make([]core.Event, 0, pre)}
 }
 
-// Hook returns the event hook recording into the ring, for
-// core.EventSource.SetEventHook.
-func (t *Tracer) Hook() core.EventHook { return t.observe }
-
 // Attach installs the tracer on m when the manager can report events
-// (the NS, SNP and SP schemes). It reports whether it attached; the
-// Reference oracle has no event source and yields false.
+// (the NS, SNP and SP schemes and the Reference oracle), and reads the
+// size of m's window file for WindowMap. It reports whether it
+// attached; a manager without an event source yields false.
 func (t *Tracer) Attach(m core.Manager) bool {
 	src, ok := m.(core.EventSource)
-	if ok {
-		src.SetEventHook(t.observe)
+	if !ok {
+		return false
 	}
-	return ok
+	src.SetEventHook(t.observe)
+	if f, ok := m.(interface{ File() *regwin.File }); ok {
+		t.windows = f.File().NWindows()
+	}
+	return true
 }
 
 func (t *Tracer) observe(ev core.Event) {
@@ -86,6 +91,55 @@ func (t *Tracer) Events() []core.Event {
 // Total reports how many events were recorded overall, including ones
 // that fell out of the ring.
 func (t *Tracer) Total() uint64 { return t.next }
+
+// WindowMap renders the window file of an event as one character per
+// slot: '*' the current window, 'o' a valid window, '.' an invalid
+// one. It is empty for a manager without a window file (the Reference
+// oracle).
+func (t *Tracer) WindowMap(ev core.Event) string {
+	var sb strings.Builder
+	for w := 0; w < t.windows; w++ {
+		switch {
+		case w == ev.CWP:
+			sb.WriteByte('*')
+		case ev.WIM.Bit(w):
+			sb.WriteByte('.')
+		default:
+			sb.WriteByte('o')
+		}
+	}
+	return sb.String()
+}
+
+// Render writes the retained events as a table, one line per event,
+// with the window map alongside. Sequence numbers count from the first
+// event of the run, so a wrapped ring starts past 0.
+func (t *Tracer) Render(w io.Writer) {
+	fmt.Fprintf(w, "%6s %10s %4s %-12s %6s %6s %4s %s\n",
+		"seq", "cycle", "thr", "event", "cost", "moved", "cwp", "windows (*=current o=valid .=invalid)")
+	evs := t.Events()
+	seq := t.next - uint64(len(evs))
+	for i, ev := range evs {
+		fmt.Fprintf(w, "%6d %10d %4d %-12s %6d %6d %4d %s\n",
+			seq+uint64(i), ev.Cycle, ev.Thread, ev.Kind, ev.Cost, ev.Moved, ev.CWP, t.WindowMap(ev))
+	}
+}
+
+// Summarise writes one line per event kind with counts and cycle sums
+// over the retained events.
+func (t *Tracer) Summarise(w io.Writer) {
+	var counts [core.EvMigrate + 1]int
+	var costs [core.EvMigrate + 1]uint64
+	for _, ev := range t.Events() {
+		counts[ev.Kind]++
+		costs[ev.Kind] += ev.Cost
+	}
+	for k := core.EvSwitch; k <= core.EvMigrate; k++ {
+		if counts[k] > 0 {
+			fmt.Fprintf(w, "%-12s %8d events %12d cycles\n", k, counts[k], costs[k])
+		}
+	}
+}
 
 // Snapshot packages the ring for transport (simsvc job results).
 func (t *Tracer) Snapshot() *JobTrace {

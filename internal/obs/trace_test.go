@@ -91,9 +91,38 @@ func TestTracerAttach(t *testing.T) {
 		}
 	}
 
-	// The Reference oracle has no event source.
-	if NewTracer(0).Attach(core.New(core.SchemeReference, core.Config{Windows: 4})) {
-		t.Fatal("Reference manager unexpectedly attached")
+	// The Reference oracle reports the same operations, with no traps,
+	// no cost and no window file; a switch to the running thread is
+	// still one event, as it is for the schemes.
+	ref := core.New(core.SchemeReference, core.Config{Windows: 4})
+	rtr := NewTracer(0)
+	if !rtr.Attach(ref) {
+		t.Fatal("Reference manager did not expose an event source")
+	}
+	rth := ref.NewThread(2, "oracle")
+	ref.Switch(rth)
+	ref.Switch(rth)
+	ref.Save()
+	ref.Restore()
+	ref.Exit()
+	wantRef := []core.Event{
+		{Kind: core.EvSwitch, Thread: 2},
+		{Kind: core.EvSwitch, Thread: 2},
+		{Kind: core.EvSave, Thread: 2},
+		{Kind: core.EvRestore, Thread: 2},
+		{Kind: core.EvExit, Thread: 2},
+	}
+	got := rtr.Events()
+	if len(got) != len(wantRef) {
+		t.Fatalf("Reference events %+v, want %+v", got, wantRef)
+	}
+	for i := range wantRef {
+		if got[i] != wantRef[i] {
+			t.Fatalf("Reference event %d = %+v, want %+v", i, got[i], wantRef[i])
+		}
+	}
+	if wm := rtr.WindowMap(got[0]); wm != "" {
+		t.Fatalf("Reference window map %q, want empty", wm)
 	}
 }
 

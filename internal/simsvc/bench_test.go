@@ -22,7 +22,7 @@ import (
 
 func benchSweep(b *testing.B, run harness.Runner) {
 	b.Helper()
-	harness.RunFig11(harness.QuickSizes, []int{4}) // warm the corpus cache outside the timer
+	harness.RunFig11With(harness.QuickSizes, []int{4}, harness.RunSerial) // warm the corpus cache outside the timer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		harness.RunFig11With(harness.QuickSizes, harness.WindowCounts, run)

@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
-# smoke_winsimd.sh — end-to-end observability smoke test.
+# smoke_winsimd.sh — end-to-end observability and serving smoke test.
 #
-# Boots winsimd, submits a traced cell job, then verifies the two
-# observability surfaces this repository exposes:
+# Boots winsimd with all three admission tiers armed, submits a traced
+# cell job twice (the second answered by the result cache), then
+# verifies the observability surfaces this repository exposes:
 #   1. GET /metrics serves parseable Prometheus text exposition that
-#      includes the per-scheme window-trap counters and the switch-cost
-#      histogram.
-#   2. GET /v1/jobs/{id}/trace serves parseable Chrome trace_event JSON.
+#      includes the per-scheme window-trap counters, the switch-cost
+#      histogram, and the admission, queue-cost and cache families.
+#   2. The JSON snapshot counts the cached job, records a nonzero
+#      latency p50 and conserves jobs: accepted == queued + running +
+#      done + failed + canceled.
+#   3. GET /v1/jobs/{id}/trace serves parseable Chrome trace_event JSON.
 # Finally it runs `winsim -trace` and checks the written file parses.
 #
 # Requires only the go toolchain plus curl; JSON validation uses python3
@@ -24,8 +28,8 @@ echo "== build =="
 go build -o "$TMP/winsimd" ./cmd/winsimd
 go build -o "$TMP/winsim" ./cmd/winsim
 
-echo "== boot winsimd on $ADDR =="
-"$TMP/winsimd" -addr "$ADDR" -workers 2 &
+echo "== boot winsimd on $ADDR with admission tiers armed =="
+"$TMP/winsimd" -addr "$ADDR" -workers 2 -maxqueue 512 -clientqueue 256 -maxqueuecost 2000000000 &
 SERVER_PID=$!
 for i in $(seq 1 50); do
   if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
@@ -34,13 +38,19 @@ for i in $(seq 1 50); do
 done
 
 echo "== submit a traced cell job =="
+SPEC='{"experiment":"cell","scheme":"SP","windows":6,"behavior":"high-fine","draft":2000,"dict":3001,"trace":true}'
 curl -fsS -X POST "$BASE/v1/jobs?wait=1" -H 'Content-Type: application/json' \
-  -d '{"experiment":"cell","scheme":"SP","windows":6,"behavior":"high-fine","draft":2000,"dict":3001,"trace":true}' \
-  >"$TMP/submit.json"
+  -d "$SPEC" >"$TMP/submit.json"
 JOB_ID="$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$TMP/submit.json" | head -1)"
 [ -n "$JOB_ID" ] || { echo "no job id in submit response" >&2; exit 1; }
 grep -q '"status": *"done"' "$TMP/submit.json" || { echo "job not done" >&2; exit 1; }
 echo "job $JOB_ID done"
+
+echo "== resubmit it: the result cache answers =="
+curl -fsS -X POST "$BASE/v1/jobs?wait=1" -H 'Content-Type: application/json' \
+  -d "$SPEC" >"$TMP/resubmit.json"
+grep -q '"cache_hit": *true' "$TMP/resubmit.json" || { echo "resubmission not a cache hit" >&2; exit 1; }
+echo "resubmission answered from the cache"
 
 echo "== scrape /metrics (Prometheus text) =="
 curl -fsS "$BASE/metrics" >"$TMP/metrics.prom"
@@ -50,9 +60,37 @@ grep -q '^winsim_window_traps_total{scheme="SP",kind="underflow"}' "$TMP/metrics
 grep -q '^winsim_switch_cost_cycles_bucket{scheme="SP",le="+Inf"}' "$TMP/metrics.prom"
 grep -q '^winsim_switch_cost_cycles_count{scheme="SP"}' "$TMP/metrics.prom"
 echo "exposition contains trap counters and switch-cost histogram"
+grep -q '^# TYPE winsimd_jobs_cached_total counter$' "$TMP/metrics.prom"
+grep -q '^winsimd_admission_rejects_total{reason="queue_full"}' "$TMP/metrics.prom"
+grep -q '^winsimd_admission_rejects_total{reason="client_quota"}' "$TMP/metrics.prom"
+grep -q '^winsimd_admission_rejects_total{reason="cost"}' "$TMP/metrics.prom"
+grep -q '^# TYPE winsimd_queue_cost gauge$' "$TMP/metrics.prom"
+grep -q '^# TYPE winsimd_cache_coalesced_total counter$' "$TMP/metrics.prom"
+echo "exposition contains admission, queue-cost and cache-coalescing families"
 
-echo "== /metrics?format=json still serves the JSON snapshot =="
-curl -fsS "$BASE/metrics?format=json" | grep -q '"jobs_done"'
+echo "== /metrics?format=json: cached job, nonzero p50, job conservation =="
+curl -fsS "$BASE/metrics?format=json" >"$TMP/metrics.json"
+grep -q '"jobs_done"' "$TMP/metrics.json"
+# One cold job and one cache hit: the p50 is the hit's latency, which
+# must not be recorded as 0.
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$TMP/metrics.json" <<'EOF'
+import json, sys
+m = json.load(open(sys.argv[1]))
+assert m["jobs_cached"] >= 1, "resubmission was not counted as cached"
+assert m["job_latency_p50_ms"] > 0, "cache-hit latency recorded as 0"
+acc = m["jobs_accepted"]
+total = m["jobs_queued"] + m["jobs_running"] + m["jobs_done"] + m["jobs_failed"] + m["jobs_canceled"]
+assert acc == total, f"conservation broken: accepted={acc} sum={total}"
+print(f"jobs_cached={m['jobs_cached']} p50={m['job_latency_p50_ms']}ms conserved({acc})")
+EOF
+else
+  grep -q '"jobs_cached": [1-9]' "$TMP/metrics.json"
+  if grep -q '"job_latency_p50_ms": 0[,}]' "$TMP/metrics.json"; then
+    echo "cache-hit latency recorded as 0" >&2
+    exit 1
+  fi
+fi
 
 echo "== fetch the job trace (Chrome trace_event JSON) =="
 curl -fsS "$BASE/v1/jobs/$JOB_ID/trace" >"$TMP/trace.json"
