@@ -270,11 +270,8 @@ func serialRunner(maxCycles uint64, faultSeed int64, chrome *obs.ChromeTrace) ha
 				inj.Enable(fault.PointSpuriousTrap, 1500)
 				inj.Enable(fault.PointFlushReload, 2000)
 			}
-			opts := harness.SpellOpts{
-				Config: core.Config{Windows: c.Windows},
-				Scheme: c.Scheme, Policy: c.Policy, Behavior: c.Behavior, Sizes: c.Sizes,
-				MaxCycles: maxCycles, Chaos: inj,
-			}
+			opts := c.SpellOpts()
+			opts.MaxCycles, opts.Chaos = maxCycles, inj
 			var tr *obs.Tracer
 			if chrome != nil {
 				tr = obs.NewTracer(0)

@@ -143,11 +143,18 @@ func (c CellSpec) Run() Result {
 	if c.Threads > 0 {
 		return RunT3(c)
 	}
-	return mustSpell(SpellOpts{
+	return mustSpell(c.SpellOpts())
+}
+
+// SpellOpts maps a spell-checker cell (Threads == 0) onto the options
+// RunSpellWith runs it with; callers that add a watchdog, chaos or a
+// tracer start from it so no cell field is dropped on their path.
+func (c CellSpec) SpellOpts() SpellOpts {
+	return SpellOpts{
 		Config: core.Config{Windows: c.Windows},
 		Scheme: c.Scheme, Policy: c.Policy, Behavior: c.Behavior, Sizes: c.Sizes,
 		Quantum: c.Quantum,
-	})
+	}
 }
 
 // Runner executes a batch of sweep cells and returns their results in

@@ -1,7 +1,11 @@
 package simsvc
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cyclicwin/internal/harness"
@@ -54,5 +58,41 @@ func BenchmarkSweepParallelCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		harness.RunFig11With(harness.QuickSizes, harness.WindowCounts, run)
+	}
+}
+
+// BenchmarkServeHit is one cache-hit round trip through the HTTP
+// handler: POST /v1/jobs?wait=1 of a warmed cell at the serve-mixed
+// workload's sizes (600-byte draft, 901-byte dictionary), served by
+// Server.ServeHTTP without a network. It is the in-process counterpart
+// of perfbench's serve.hot.cpu_ms.
+//
+//	go test -run '^$' -bench BenchmarkServeHit -benchmem ./internal/simsvc
+func BenchmarkServeHit(b *testing.B) {
+	cache, err := NewCache(0, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := NewPool(PoolConfig{Workers: 1, Cache: cache})
+	defer p.Close()
+	srv := NewServer(p)
+	const body = `{"experiment":"cell","scheme":"SP","windows":6,"behavior":"high-fine","draft":600,"dict":901}`
+	serve := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	serve() // the cold run fills the cache
+	var warm jobsResponse
+	if err := json.Unmarshal(serve().Body.Bytes(), &warm); err != nil || len(warm.Jobs) != 1 || !warm.Jobs[0].CacheHit {
+		b.Fatalf("warmed submission was not a cache hit (%v)", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }

@@ -1,6 +1,7 @@
 package simsvc
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -53,12 +54,30 @@ type cacheFlight struct {
 type cacheEntry struct {
 	key   string
 	value *JobResult
+	// enc is value's JSON encoding, nil until a request is first
+	// answered from this entry (see appendHit).
+	enc *encodedResult
+}
+
+// encodedResult is a cached value's encoding, made once by the first
+// cache-hit answer; racing answers wait on once.
+type encodedResult struct {
+	once sync.Once
+	body []byte
+	err  error
 }
 
 // DefaultCacheEntries bounds the in-memory LRU when no explicit size
 // is configured. A full five-figure sweep at the paper's window counts
 // is 540 cells; this keeps several full sweeps resident.
 const DefaultCacheEntries = 4096
+
+// MaxRetainedJobs bounds how many terminal jobs a Pool keeps for
+// GET /v1/jobs/{id}. Past it the job that became terminal first is
+// forgotten, and its id answers 404; resubmitting its spec is answered
+// by the cache. Queued and running jobs are never forgotten. A figures
+// pass submits 225 jobs to a fresh pool and reads every one back.
+const MaxRetainedJobs = 4096
 
 // NewCache creates a cache holding at most max entries in memory
 // (DefaultCacheEntries when max <= 0). If dir is non-empty it is
@@ -129,6 +148,48 @@ func (c *Cache) Get(ctx context.Context, key string) (*JobResult, bool) {
 	return v, ok
 }
 
+// appendHit appends the JSON encoding of v, a result Get returned for
+// key, to buf. The first call for an entry encodes v and stores the
+// bytes beside it; later calls copy them. A cached value is never
+// modified (its key is its content address), so the stored bytes never
+// go stale. A value no longer cached under key (evicted or replaced) is
+// encoded afresh and not stored.
+//
+// Encoding waits for the first hit instead of happening in Put because
+// most results are never asked for again: storing each one's encoding
+// would keep every result twice (a traced cell's is 47-74 KB), and Put
+// also runs for sweeps that never serve JSON.
+func (c *Cache) appendHit(buf *bytes.Buffer, key string, v *JobResult) error {
+	var enc *encodedResult
+	if c != nil {
+		c.mu.Lock()
+		if el, ok := c.entries[key]; ok {
+			if e := el.Value.(*cacheEntry); e.value == v {
+				if e.enc == nil {
+					e.enc = new(encodedResult)
+				}
+				enc = e.enc
+			}
+		}
+		c.mu.Unlock()
+	}
+	if enc == nil {
+		return appendJSON(buf, v)
+	}
+	enc.once.Do(func() {
+		tmp := getBuffer()
+		defer putBuffer(tmp)
+		if enc.err = appendJSON(tmp, v); enc.err == nil {
+			enc.body = bytes.Clone(tmp.Bytes())
+		}
+	})
+	if enc.err != nil {
+		return enc.err
+	}
+	buf.Write(enc.body)
+	return nil
+}
+
 // Put stores the result under the key, in memory and (when configured)
 // on disk. Storing an already-present key refreshes its LRU position.
 func (c *Cache) Put(key string, v *JobResult) {
@@ -143,7 +204,9 @@ func (c *Cache) Put(key string, v *JobResult) {
 
 func (c *Cache) insertLocked(key string, v *JobResult) {
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).value = v
+		if e := el.Value.(*cacheEntry); e.value != v {
+			e.value, e.enc = v, nil
+		}
 		c.ll.MoveToFront(el)
 		return
 	}
@@ -190,10 +253,13 @@ func (c *Cache) storeDisk(key string, v *JobResult) {
 	if !ok {
 		return
 	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if err := appendJSON(buf, v); err != nil {
 		return
 	}
+	buf.WriteByte('\n')
+	data := buf.Bytes()
 	// Write-fsync-rename-fsync so the store survives a crash at any
 	// point: concurrent readers (another winsim process sharing
 	// -cachedir) never see a partial file behind the final name, and a

@@ -1,7 +1,9 @@
 package simsvc
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -97,6 +99,28 @@ func TestCacheDiskStore(t *testing.T) {
 	}
 	if s := c2.Stats(); s.Hits != 1 {
 		t.Fatalf("stats = %+v, want one memory hit after promotion", s)
+	}
+
+	// Entries are written compact, and indented ones written before
+	// entries became compact still load.
+	data, err := os.ReadFile(filepath.Join(dir, key+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, data); err != nil || !bytes.Equal(compact.Bytes(), bytes.TrimSuffix(data, []byte("\n"))) {
+		t.Fatalf("disk entry is not compact JSON (%v): %s", err, data)
+	}
+	old := JobSpec{Experiment: ExperimentCell, Scheme: "NS", Windows: 8, Behavior: "high-fine"}.Hash()
+	indented, err := json.MarshalIndent(result(7), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, old+".json"), indented, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := c2.Get(context.Background(), old); !ok || v.Cell == nil || v.Cell.Cycles != 7 {
+		t.Fatalf("indented disk entry: got %+v, %v", v, ok)
 	}
 }
 

@@ -1,6 +1,8 @@
 package simsvc
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -184,13 +186,20 @@ func TestJobTraceEndpoint(t *testing.T) {
 	if tresp.StatusCode != http.StatusOK {
 		t.Fatalf("trace fetch: status %d", tresp.StatusCode)
 	}
+	trace, err := io.ReadAll(tresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(trace); tresp.Header.Get(ChecksumHeader) != hex.EncodeToString(sum[:]) {
+		t.Fatalf("trace reply's %s %q does not match its body", ChecksumHeader, tresp.Header.Get(ChecksumHeader))
+	}
 	var ct struct {
 		TraceEvents []struct {
 			Name string `json:"name"`
 			Ph   string `json:"ph"`
 		} `json:"traceEvents"`
 	}
-	if err := json.NewDecoder(tresp.Body).Decode(&ct); err != nil {
+	if err := json.Unmarshal(trace, &ct); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	var meta, slices int

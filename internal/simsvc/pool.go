@@ -36,6 +36,9 @@ type Job struct {
 	id   string
 	hash string
 	spec JobSpec
+	// cacheHit marks a job answered by the result cache; like the
+	// fields above it is set before the job is published.
+	cacheHit bool
 
 	// shard is the metrics shard every lifecycle event of this job is
 	// reported against; pinning all of a job's events to one shard is
@@ -49,10 +52,13 @@ type Job struct {
 	status    Status
 	result    *JobResult
 	err       error
-	cacheHit  bool
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
+
+	// nextRetired links the pool's terminal jobs from oldest to newest
+	// (guarded by the pool's mu).
+	nextRetired *Job
 
 	done chan struct{}
 }
@@ -85,11 +91,7 @@ func (j *Job) Result() (*JobResult, error) {
 }
 
 // CacheHit reports whether the job was answered by the result cache.
-func (j *Job) CacheHit() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cacheHit
-}
+func (j *Job) CacheHit() bool { return j.cacheHit }
 
 // Wait blocks until the job is terminal or ctx is done, returning the
 // job's result or error.
@@ -223,6 +225,11 @@ type Pool struct {
 	closed   bool // no new submissions
 	stopping bool // workers exit once the queue is empty
 
+	// The terminal jobs still in byID, oldest first, linked through
+	// Job.nextRetired; retireLocked bounds them at MaxRetainedJobs.
+	oldest, newest *Job
+	retired        int
+
 	// Admission bookkeeping over the queued jobs (guarded by mu, like
 	// the queue itself): per-client queued counts and the summed cost
 	// estimate of everything waiting.
@@ -311,8 +318,7 @@ func (p *Pool) SubmitFrom(client string, spec JobSpec) (*Job, error) {
 	// Submission-time lookups carry no request deadline: the job, once
 	// accepted, outlives its submitter.
 	if res, ok := p.cfg.Cache.Get(context.Background(), hash); ok {
-		j := &Job{id: id, hash: hash, spec: spec, submitted: time.Now(), done: make(chan struct{})}
-		j.cacheHit = true
+		j := &Job{id: id, hash: hash, spec: spec, cacheHit: true, submitted: time.Now(), done: make(chan struct{})}
 		j.finish(StatusDone, res, nil)
 		// The cache answer is a real service event with a real measured
 		// latency — recording it as a hard 0 used to drag cache-hot
@@ -320,6 +326,7 @@ func (p *Pool) SubmitFrom(client string, spec JobSpec) (*Job, error) {
 		p.metrics.jobCached(p.metrics.pickShard(), time.Since(t0))
 		p.mu.Lock()
 		p.byID[id] = j
+		p.retireLocked(j)
 		p.mu.Unlock()
 		return j, nil
 	}
@@ -421,10 +428,9 @@ func (p *Pool) worker() {
 
 func (p *Pool) runJob(j *Job) {
 	defer p.jobWG.Done()
-	defer p.dropInflight(j)
 
 	if p.ctx.Err() != nil {
-		j.finish(StatusCanceled, nil, fmt.Errorf("simsvc: pool shut down before job ran"))
+		p.finish(j, StatusCanceled, nil, fmt.Errorf("simsvc: pool shut down before job ran"))
 		p.metrics.jobDroppedQueued(j.shard)
 		return
 	}
@@ -465,33 +471,57 @@ func (p *Pool) runJob(j *Job) {
 	case o := <-ch:
 		if o.err != nil {
 			st = StatusFailed
-			j.finish(st, o.res, o.err)
+			p.finish(j, st, o.res, o.err)
 		} else {
 			st = StatusDone
 			p.cfg.Cache.Put(j.hash, o.res)
-			j.finish(st, o.res, nil)
+			p.finish(j, st, o.res, nil)
 		}
 	case <-ctx.Done():
 		if p.ctx.Err() != nil {
 			st = StatusCanceled
-			j.finish(st, nil, fmt.Errorf("simsvc: pool shut down: %w", p.ctx.Err()))
+			p.finish(j, st, nil, fmt.Errorf("simsvc: pool shut down: %w", p.ctx.Err()))
 		} else {
 			st = StatusFailed
-			j.finish(st, nil, fmt.Errorf("%w: job exceeded timeout %v", ErrTimeout, p.cfg.JobTimeout))
+			p.finish(j, st, nil, fmt.Errorf("%w: job exceeded timeout %v", ErrTimeout, p.cfg.JobTimeout))
 		}
 	}
 	p.metrics.jobFinished(j.shard, st, time.Since(start))
 }
 
-// dropInflight detaches a terminal job from the coalescing map so the
-// next identical submission consults the cache (or retries a failure)
-// instead of attaching to a finished job.
-func (p *Pool) dropInflight(j *Job) {
+// finish makes a job the pool ran terminal and retires it. The job
+// leaves the coalescing map in the same critical section, before its
+// done channel closes, so a submission made once the job has answered
+// consults the cache (or retries a failure) instead of attaching to
+// the finished job.
+func (p *Pool) finish(j *Job, st Status, res *JobResult, err error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.inflight[j.hash] == j {
 		delete(p.inflight, j.hash)
 	}
-	p.mu.Unlock()
+	if j.finish(st, res, err) {
+		p.retireLocked(j)
+	}
+}
+
+// retireLocked records j as the newest terminal job and forgets the
+// oldest past MaxRetainedJobs. Without the bound every request would
+// leave its job in byID for good. p.mu must be held.
+func (p *Pool) retireLocked(j *Job) {
+	if p.newest == nil {
+		p.oldest = j
+	} else {
+		p.newest.nextRetired = j
+	}
+	p.newest = j
+	p.retired++
+	for p.retired > MaxRetainedJobs {
+		old := p.oldest
+		p.oldest, old.nextRetired = old.nextRetired, nil
+		delete(p.byID, old.id)
+		p.retired--
+	}
 }
 
 // executeHook, when non-nil, replaces execute — a test seam for

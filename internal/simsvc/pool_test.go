@@ -3,7 +3,9 @@ package simsvc
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,6 +97,109 @@ func TestPoolCacheHitOnResubmit(t *testing.T) {
 	}
 	if s := p.Cache().Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss", s)
+	}
+}
+
+// TestResubmissionAfterAnswerIsCacheHit: a job leaves the coalescing
+// map before it answers, so resubmitting its spec once the answer is
+// in is a cache hit, never the finished job again. Under -race the
+// window used to catch about one resubmission in a thousand.
+func TestResubmissionAfterAnswerIsCacheHit(t *testing.T) {
+	setHook(t, func(spec JobSpec) (*JobResult, error) { return &JobResult{Spec: spec}, nil })
+	p := testPool(t, PoolConfig{Workers: 2})
+	for i := 0; i < 2000; i++ {
+		spec := distinctCell(i)
+		j, err := p.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		again, err := p.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.CacheHit() {
+			t.Fatalf("resubmission %d answered by job %s (the original is %s), not the cache", i, again.ID(), j.ID())
+		}
+	}
+}
+
+// TestPoolRetainsNewestTerminalJobs: past MaxRetainedJobs terminal jobs
+// the pool forgets the oldest, whose ids answer 404 naming the remedy,
+// keeps the newest, and never forgets a job that is still running.
+func TestPoolRetainsNewestTerminalJobs(t *testing.T) {
+	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unblock)
+	setHook(t, func(spec JobSpec) (*JobResult, error) {
+		if spec.MaxCycles == 1 {
+			<-release
+		}
+		return &JobResult{Spec: spec}, nil
+	})
+	p := testPool(t, PoolConfig{Workers: 2})
+	s := NewServer(p)
+	retained := func() int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.byID)
+	}
+
+	heldSpec := cellSpec()
+	heldSpec.MaxCycles = 1
+	held, err := p.Submit(heldSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := p.Submit(cellSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cold.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	hits := make([]*Job, MaxRetainedJobs+100)
+	for i := range hits {
+		if hits[i], err = p.Submit(cellSpec()); err != nil || !hits[i].CacheHit() {
+			t.Fatalf("submission %d: err %v, not a cache hit", i, err)
+		}
+	}
+	if n := retained(); n != MaxRetainedJobs+1 {
+		t.Fatalf("pool holds %d jobs, want the newest %d terminal ones plus the running one", n, MaxRetainedJobs)
+	}
+	if rec := serve(t, s, http.MethodGet, "/v1/jobs/"+held.ID(), ""); rec.Code != http.StatusOK ||
+		held.Status() != StatusRunning {
+		t.Fatalf("running job %s: status %d, %s", held.ID(), rec.Code, held.Status())
+	}
+	for _, j := range []*Job{cold, hits[0], hits[99]} {
+		rec := serve(t, s, http.MethodGet, "/v1/jobs/"+j.ID(), "")
+		if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "resubmit the spec") {
+			t.Fatalf("forgotten job %s: status %d, body %s", j.ID(), rec.Code, rec.Body)
+		}
+	}
+	for _, j := range []*Job{hits[100], hits[len(hits)-1]} {
+		if rec := serve(t, s, http.MethodGet, "/v1/jobs/"+j.ID(), ""); rec.Code != http.StatusOK {
+			t.Fatalf("retained job %s: status %d, body %s", j.ID(), rec.Code, rec.Body)
+		}
+	}
+
+	// Once the held job ends it is the newest terminal job, and the
+	// oldest retained one makes room for it.
+	unblock()
+	if _, err := held.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	p.Drain(context.Background())
+	if n := retained(); n != MaxRetainedJobs {
+		t.Fatalf("pool holds %d jobs, want %d", n, MaxRetainedJobs)
+	}
+	if _, ok := p.Job(held.ID()); !ok {
+		t.Fatal("the job that ended last was forgotten")
+	}
+	if _, ok := p.Job(hits[100].ID()); ok {
+		t.Fatal("the oldest retained job was kept past the bound")
 	}
 }
 

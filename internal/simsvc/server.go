@@ -1,6 +1,7 @@
 package simsvc
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 
 	"cyclicwin/internal/obs"
@@ -83,25 +85,93 @@ const ClientIDHeader = "X-Client-ID"
 const ShedReasonHeader = "X-Shed-Reason"
 
 // ChecksumHeader carries the hex SHA-256 of a JSON response body.
-// Every writeJSON response attaches it, so a client can tell a body
+// Every JSON response attaches it, so a client can tell a body
 // corrupted in flight from a plausible-but-wrong result before it
 // decodes anything.
 const ChecksumHeader = "X-Content-Sha256"
 
+// Every JSON body the package writes, responses and disk-cache files
+// alike, is json.Encoder's compact, HTML-escaped encoding built in a
+// buffer from this pool: by appendJSON, or by obs.ChromeTrace.Encode
+// for a trace.
+var buffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBuffer keeps a rare large body (a traced cell's answer or
+// Chrome trace) from staying resident in the pool after its request.
+const maxPooledBuffer = 64 << 10
+
+func getBuffer() *bytes.Buffer { return buffers.Get().(*bytes.Buffer) }
+
+func putBuffer(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBuffer {
+		b.Reset()
+		buffers.Put(b)
+	}
+}
+
+// appendJSON appends v's encoding to buf as json.Encoder writes it,
+// without the trailing newline. On error buf is left as it was.
+func appendJSON(buf *bytes.Buffer, v any) error {
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		return err
+	}
+	buf.Truncate(buf.Len() - 1)
+	return nil
+}
+
+// encodingFailed answers a value that could not be encoded. No type
+// served here fails to marshal; this degrades to a 500 rather than a
+// panic should one ever do so.
+const encodingFailed = `{"error":"encoding response"}` + "\n"
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		// Marshalling a response value cannot fail for any type we
-		// serve; degrade to a bare 500 rather than panicking.
-		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if err := appendJSON(buf, v); err != nil {
+		writeBody(w, http.StatusInternalServerError, []byte(encodingFailed))
 		return
 	}
-	data = append(data, '\n')
-	sum := sha256.Sum256(data)
+	buf.WriteByte('\n')
+	writeBody(w, code, buf.Bytes())
+}
+
+// writeBody sends a complete JSON body with the checksum of exactly
+// the bytes sent.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	sum := sha256.Sum256(body)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(ChecksumHeader, hex.EncodeToString(sum[:]))
 	w.WriteHeader(code)
-	_, _ = w.Write(data)
+	_, _ = w.Write(body)
+}
+
+// appendView appends j's view, with its result when withResult is set,
+// and returns the view's status. The view is encoded without its
+// result, whose encoding is then spliced in as the last member
+// ("result" is View's last field), so the bytes decode to the same
+// values as json.Marshal of the whole view. A cache-hit job's result
+// comes from the cache entry's stored encoding; any other result is
+// encoded anew.
+func (s *Server) appendView(buf *bytes.Buffer, j *Job, withResult bool) (Status, error) {
+	v := j.View(withResult)
+	res := v.Result
+	if res == nil {
+		return v.Status, appendJSON(buf, &v)
+	}
+	v.Result = nil
+	if err := appendJSON(buf, &v); err != nil {
+		return v.Status, err
+	}
+	buf.Truncate(buf.Len() - 1) // the view's closing brace
+	buf.WriteString(`,"result":`)
+	var err error
+	if v.CacheHit {
+		err = s.pool.Cache().appendHit(buf, j.hash, res)
+	} else {
+		err = appendJSON(buf, res)
+	}
+	buf.WriteByte('}')
+	return v.Status, err
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -179,25 +249,53 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	views := make([]View, len(jobs))
-	for i, j := range jobs {
-		views[i] = j.View(wait == "1" || wait == "true")
-	}
+	buf := getBuffer()
+	defer putBuffer(buf)
+	buf.WriteString(`{"jobs":[`)
 	code := http.StatusAccepted
-	if views[0].Status == StatusDone || views[0].Status == StatusFailed {
-		code = http.StatusOK
+	for i, j := range jobs {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		st, err := s.appendView(buf, j, wait == "1" || wait == "true")
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding job %s: %w", j.ID(), err))
+			return
+		}
+		if i == 0 && (st == StatusDone || st == StatusFailed) {
+			code = http.StatusOK
+		}
 	}
-	writeJSON(w, code, map[string]any{"jobs": views})
+	buf.WriteString("]}\n")
+	writeBody(w, code, buf.Bytes())
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	j, ok := s.job(w, r)
+	if !ok {
+		return
+	}
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if _, err := s.appendView(buf, j, true); err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding job %s: %w", j.ID(), err))
+		return
+	}
+	buf.WriteByte('\n')
+	writeBody(w, http.StatusOK, buf.Bytes())
+}
+
+// job resolves the request's {id}, answering 404 when the pool does
+// not know it: never submitted, or forgotten past MaxRetainedJobs.
+func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	id := r.PathValue("id")
 	j, ok := s.pool.Job(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", id))
-		return
+		writeError(w, http.StatusNotFound, fmt.Errorf(
+			"no such job %q: only the newest %d finished jobs are kept; resubmit the spec and the result cache answers it",
+			id, MaxRetainedJobs))
 	}
-	writeJSON(w, http.StatusOK, j.View(true))
+	return j, ok
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
@@ -240,12 +338,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleJobTrace serves a traced cell's event ring as Chrome
 // trace_event JSON (load it in chrome://tracing or Perfetto).
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, ok := s.pool.Job(id)
+	j, ok := s.job(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", id))
 		return
 	}
+	id := j.ID()
 	res, _ := j.Result()
 	switch st := j.Status(); st {
 	case StatusDone, StatusFailed, StatusCanceled:
@@ -260,11 +357,13 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	var ct obs.ChromeTrace
 	ct.AddProcess(1, fmt.Sprintf("%s %s/w%d/%s", id, res.Spec.Scheme, res.Spec.Windows, res.Spec.Behavior), res.Trace)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if err := ct.Encode(w); err != nil {
-		log.Printf("simsvc: writing trace for %s: %v", id, err)
+	buf := getBuffer()
+	defer putBuffer(buf)
+	if err := ct.Encode(buf); err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding the trace of %s: %w", id, err))
+		return
 	}
+	writeBody(w, http.StatusOK, buf.Bytes())
 }
 
 // handleMetrics serves Prometheus text exposition by default; the

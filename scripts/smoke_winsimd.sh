@@ -11,10 +11,14 @@
 #      latency p50 and conserves jobs: accepted == queued + running +
 #      done + failed + canceled.
 #   3. GET /v1/jobs/{id}/trace serves parseable Chrome trace_event JSON.
+# The cold answer, the cache hit and the trace each carry an
+# X-Content-Sha256 header equal to the SHA-256 of their body.
 # Finally it runs `winsim -trace` and checks the written file parses.
 #
-# Requires only the go toolchain plus curl; JSON validation uses python3
-# when available and falls back to grep checks otherwise.
+# Requires only the go toolchain plus curl and sha256sum; JSON
+# validation uses python3 when available and falls back to grep checks
+# otherwise. The grep checks read bodies with whitespace removed, so
+# they hold for compact and indented JSON alike.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -23,6 +27,24 @@ ADDR="127.0.0.1:8099"
 BASE="http://$ADDR"
 TMP="$(mktemp -d)"
 trap 'kill "$SERVER_PID" 2>/dev/null || true; wait "$SERVER_PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+
+# flat FILE writes FILE.flat: FILE without whitespace. The values the
+# checks match (ids, statuses, numbers, key names) contain none. Bodies
+# go through a file, not a pipe into grep -q, which would end the pipe
+# early and fail it under pipefail.
+flat() { tr -d ' \t\r\n' <"$1" >"$1.flat"; }
+
+# check_sum BODY HEADERS fails unless the X-Content-Sha256 header in
+# HEADERS (as curl -D writes them) is the SHA-256 of BODY.
+check_sum() {
+  local want got
+  want="$(sed -n 's/^[Xx]-[Cc]ontent-[Ss]ha256: *\([0-9a-f]*\).*/\1/p' "$2")"
+  got="$(sha256sum "$1" | cut -d' ' -f1)"
+  if [ -z "$want" ] || [ "$want" != "$got" ]; then
+    echo "$1: X-Content-Sha256 '$want' does not match the body's SHA-256 $got" >&2
+    exit 1
+  fi
+}
 
 echo "== build =="
 go build -o "$TMP/winsimd" ./cmd/winsimd
@@ -39,18 +61,23 @@ done
 
 echo "== submit a traced cell job =="
 SPEC='{"experiment":"cell","scheme":"SP","windows":6,"behavior":"high-fine","draft":2000,"dict":3001,"trace":true}'
-curl -fsS -X POST "$BASE/v1/jobs?wait=1" -H 'Content-Type: application/json' \
+curl -fsS -D "$TMP/submit.hdr" -X POST "$BASE/v1/jobs?wait=1" -H 'Content-Type: application/json' \
   -d "$SPEC" >"$TMP/submit.json"
-JOB_ID="$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$TMP/submit.json" | head -1)"
+check_sum "$TMP/submit.json" "$TMP/submit.hdr"
+flat "$TMP/submit.json"
+# The id is the first member of the first job object.
+JOB_ID="$(sed -n 's/^{"jobs":\[{"id":"\([^"]*\)".*/\1/p' "$TMP/submit.json.flat")"
 [ -n "$JOB_ID" ] || { echo "no job id in submit response" >&2; exit 1; }
-grep -q '"status": *"done"' "$TMP/submit.json" || { echo "job not done" >&2; exit 1; }
-echo "job $JOB_ID done"
+grep -q '"status":"done"' "$TMP/submit.json.flat" || { echo "job not done" >&2; exit 1; }
+echo "job $JOB_ID done; checksum matches"
 
 echo "== resubmit it: the result cache answers =="
-curl -fsS -X POST "$BASE/v1/jobs?wait=1" -H 'Content-Type: application/json' \
+curl -fsS -D "$TMP/resubmit.hdr" -X POST "$BASE/v1/jobs?wait=1" -H 'Content-Type: application/json' \
   -d "$SPEC" >"$TMP/resubmit.json"
-grep -q '"cache_hit": *true' "$TMP/resubmit.json" || { echo "resubmission not a cache hit" >&2; exit 1; }
-echo "resubmission answered from the cache"
+check_sum "$TMP/resubmit.json" "$TMP/resubmit.hdr"
+flat "$TMP/resubmit.json"
+grep -q '"cache_hit":true' "$TMP/resubmit.json.flat" || { echo "resubmission not a cache hit" >&2; exit 1; }
+echo "resubmission answered from the cache; checksum matches"
 
 echo "== scrape /metrics (Prometheus text) =="
 curl -fsS "$BASE/metrics" >"$TMP/metrics.prom"
@@ -85,15 +112,18 @@ assert acc == total, f"conservation broken: accepted={acc} sum={total}"
 print(f"jobs_cached={m['jobs_cached']} p50={m['job_latency_p50_ms']}ms conserved({acc})")
 EOF
 else
-  grep -q '"jobs_cached": [1-9]' "$TMP/metrics.json"
-  if grep -q '"job_latency_p50_ms": 0[,}]' "$TMP/metrics.json"; then
+  flat "$TMP/metrics.json"
+  grep -q '"jobs_cached":[1-9]' "$TMP/metrics.json.flat" || { echo "resubmission was not counted as cached" >&2; exit 1; }
+  if grep -q '"job_latency_p50_ms":0[,}]' "$TMP/metrics.json.flat"; then
     echo "cache-hit latency recorded as 0" >&2
     exit 1
   fi
+  echo "jobs_cached >= 1 and p50 nonzero (grep check; python3 unavailable)"
 fi
 
 echo "== fetch the job trace (Chrome trace_event JSON) =="
-curl -fsS "$BASE/v1/jobs/$JOB_ID/trace" >"$TMP/trace.json"
+curl -fsS -D "$TMP/trace.hdr" "$BASE/v1/jobs/$JOB_ID/trace" >"$TMP/trace.json"
+check_sum "$TMP/trace.json" "$TMP/trace.hdr"
 grep -q '"traceEvents"' "$TMP/trace.json"
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$TMP/trace.json" <<'EOF'
