@@ -46,3 +46,38 @@ func TestQuantumReachesSerialRunner(t *testing.T) {
 		t.Fatal("-quantum 200 left the figure unchanged; the test cannot tell whether it was applied")
 	}
 }
+
+// TestExpAllGolden pins the standard output of -exp all byte for byte:
+// every experiment of the catalog at quick sizes, the ablation,
+// crossover and T3 figures included, which the fig11-15 golden of
+// internal/harness does not cover. Regenerate testdata/exp_all.golden
+// with UPDATE_GOLDEN=1 only for an intentional model change, and say
+// so in the commit.
+func TestExpAllGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment; skipped in -short mode")
+	}
+	const golden = "testdata/exp_all.golden"
+	got := runMain(t, "-exp", "all")
+	if os.Getenv("UPDATE_GOLDEN") == "1" {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatalf("updating golden file: %v", err)
+		}
+		t.Log("golden file regenerated; review the diff and mention the model change in the commit")
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden file: %v", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("-exp all diverged from %s at line %d:\n got:  %s\n want: %s", golden, i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("-exp all printed %d lines, %s has %d", len(gotLines), golden, len(wantLines))
+}

@@ -10,10 +10,12 @@ import (
 // (internal/obs): a nil-checked event hook that reports every
 // window-management operation — context switches, saves, restores
 // (with their traps) and exits — with cycle timestamps and transfer
-// counts. With no hook installed the cost is one nil check and an
-// integer increment per operation, so the default configuration is
-// observationally identical to an uninstrumented machine (the figure
-// goldens pin this).
+// counts. An operation opens an event scope only while it is observed:
+// a hook is installed or the invariant audit is armed. Otherwise the
+// whole cost is one test (observed: a nil check and a load of the audit
+// flag), with no counter snapshot and no deferred close, and the
+// default configuration is observationally identical to an
+// uninstrumented machine (the figure goldens pin this).
 
 // EventKind classifies one window-management event.
 type EventKind uint8
@@ -97,6 +99,20 @@ type EventSource interface {
 // the machine state.
 func (m *machine) SetEventHook(h EventHook) { m.onEvent = h }
 
+// observed reports whether an operation must open an event scope: a
+// hook is installed or the invariant audit is armed. Every scope site
+// is
+//
+//	if m.observed() {
+//		defer m.evEnd(kind, thread, m.evBegin())
+//	}
+//
+// so an unobserved operation skips the scope entirely. The close stays
+// deferred, so a panicking operation still unwinds the nesting count.
+func (m *machine) observed() bool {
+	return m.onEvent != nil || invariantChecks.Load()
+}
+
 // evSnap is the counter state captured at the start of an event scope;
 // evEnd reports the event from the deltas around the operation.
 type evSnap struct {
@@ -110,9 +126,10 @@ type evSnap struct {
 	msv    uint64
 }
 
-// evBegin opens an event scope. Scopes nest (SwitchFlush runs Switch
-// inside itself); only the outermost scope emits, so a compound
-// operation reports as one event per public Manager call.
+// evBegin opens an event scope; only observed operations call it.
+// Scopes nest (SwitchFlush runs Switch inside itself); only the
+// outermost scope emits, so a compound operation reports as one event
+// per public Manager call.
 func (m *machine) evBegin() evSnap {
 	m.evNest++
 	if m.onEvent == nil || m.evNest > 1 {
@@ -135,7 +152,8 @@ func (m *machine) evBegin() evSnap {
 // outermost scope and a hook is installed. When SetInvariantChecks is
 // on, the outermost close also runs the scheme's full invariant set
 // (invariants.go) against the post-operation state, so every Switch,
-// Save, Restore and Exit in an instrumented process is audited.
+// SwitchFlush, Save, Restore, Exit and Evict in an audited process is
+// checked once.
 func (m *machine) evEnd(kind EventKind, thread int, s evSnap) {
 	m.evNest--
 	if m.evNest == 0 && invariantChecks.Load() && m.selfVerify != nil {

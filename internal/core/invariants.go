@@ -7,10 +7,12 @@ import (
 
 // invariantChecks arms the runtime assertion layer: when set, every
 // outermost window-management operation (Switch, SwitchFlush, Save,
-// Restore, Exit) on the NS, SNP and SP schemes re-runs the full
-// invariant set below and panics on the first violation. The default is
-// off — one atomic load per operation — so production runs pay nothing;
-// every test package in this repository turns it on in TestMain.
+// Restore, Exit, Evict) on the NS, SNP and SP schemes opens an event
+// scope whose close re-runs the full invariant set below, once per
+// public call, and panics on the first violation. The default is off:
+// an operation with no event hook then opens no scope, and its only
+// cost here is the atomic load in machine.observed. Every test package
+// in this repository turns it on in TestMain.
 var invariantChecks atomic.Bool
 
 // SetInvariantChecks toggles the always-on invariant audit. It may be

@@ -212,8 +212,9 @@ type machine struct {
 	selfVerify func() error
 
 	// onEvent, when non-nil, receives one Event per window-management
-	// operation (events.go). evNest suppresses emission from operations
-	// that run inside another one (SwitchFlush runs Switch).
+	// operation (events.go). evNest counts the open event scopes, so
+	// an operation that runs inside another one (SwitchFlush runs
+	// Switch) neither emits nor audits on its own.
 	onEvent EventHook
 	evNest  int
 }
@@ -396,8 +397,9 @@ func (m *machine) restoreOuts(t *Thread) {
 func (m *machine) exitCommon(clearPRW bool) *Thread {
 	m.mustRun("Exit")
 	t := m.running
-	snap := m.evBegin()
-	defer m.evEnd(EvExit, t.ID, snap)
+	if m.observed() {
+		defer m.evEnd(EvExit, t.ID, m.evBegin())
+	}
 	m.syncCWP(t)
 	m.noteSuspend(t)
 	if t.HasWindows() {

@@ -26,8 +26,9 @@ type Migrator interface {
 // Evict implements Migrator for the three schemes sharing the machine
 // state.
 func (m *machine) Evict(t *Thread) int {
-	snap := m.evBegin()
-	defer m.evEnd(EvMigrate, t.ID, snap)
+	if m.observed() {
+		defer m.evEnd(EvMigrate, t.ID, m.evBegin())
+	}
 	if t == m.running {
 		t.Stats.Suspensions++
 		m.noteSuspend(t)

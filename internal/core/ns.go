@@ -50,8 +50,9 @@ func (ns *NS) Switch(t *Thread) { ns.switchTo(t, EvSwitch) }
 func (ns *NS) SwitchFlush(t *Thread) { ns.switchTo(t, EvSwitchFlush) }
 
 func (ns *NS) switchTo(t *Thread, kind EventKind) {
-	snap := ns.evBegin()
-	defer ns.evEnd(kind, t.ID, snap)
+	if ns.observed() {
+		defer ns.evEnd(kind, t.ID, ns.evBegin())
+	}
 	if t == ns.running {
 		return
 	}
@@ -109,8 +110,9 @@ func (ns *NS) switchTo(t *Thread, kind EventKind) {
 func (ns *NS) Save() {
 	ns.mustRun("Save")
 	t := ns.running
-	snap := ns.evBegin()
-	defer ns.evEnd(EvSave, t.ID, snap)
+	if ns.observed() {
+		defer ns.evEnd(EvSave, t.ID, ns.evBegin())
+	}
 	ns.countSave(t)
 	if !ns.file.Save() {
 		ns.cnt.OverflowTraps++
@@ -171,8 +173,9 @@ func (ns *NS) Restore() {
 	if t.depth == 0 {
 		panic(fmt.Sprintf("core: %v restored past its outermost frame; use Exit", t))
 	}
-	snap := ns.evBegin()
-	defer ns.evEnd(EvRestore, t.ID, snap)
+	if ns.observed() {
+		defer ns.evEnd(EvRestore, t.ID, ns.evBegin())
+	}
 	ns.countRestore(t)
 	if !ns.file.Restore() {
 		// Window underflow: restore the caller's window into its

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cyclicwin/internal/cycles"
-	"cyclicwin/internal/regwin"
 )
 
 // This file holds the machinery shared by the two sharing schemes (SNP
@@ -19,10 +18,11 @@ import (
 // below the stack-bottom traps as an underflow, even when the
 // neighbouring window belongs to another thread.
 
-// setWIMRegion marks every window invalid except t's owned region.
+// setWIMRegion marks every window invalid except t's owned region,
+// which runs from bottom up (through Above, decreasing slot numbers)
+// to high: in slot numbers, the cyclic range high..bottom.
 func (m *machine) setWIMRegion(t *Thread) {
-	m.file.SetWIM(regwin.MaskAll(m.file.NWindows()))
-	m.region(t.bottom, t.high, func(w int) { m.file.SetInvalid(w, false) })
+	m.file.SetValidRange(t.high, t.bottom)
 }
 
 // spillBottom spills the window at slot w, which must be the stack-bottom
@@ -75,8 +75,9 @@ func (m *machine) spillBottom(w int, rescuePRW bool) {
 func (m *machine) sharedSave(grow func(t *Thread, k int) int) {
 	m.mustRun("Save")
 	t := m.running
-	snap := m.evBegin()
-	defer m.evEnd(EvSave, t.ID, snap)
+	if m.observed() {
+		defer m.evEnd(EvSave, t.ID, m.evBegin())
+	}
 	m.countSave(t)
 	if !m.file.Save() {
 		// Window overflow: the thread has exhausted its region.
@@ -132,8 +133,9 @@ func (m *machine) sharedRestore() {
 	if t.depth == 0 {
 		panic(fmt.Sprintf("core: %v restored past its outermost frame; use Exit", t))
 	}
-	snap := m.evBegin()
-	defer m.evEnd(EvRestore, t.ID, snap)
+	if m.observed() {
+		defer m.evEnd(EvRestore, t.ID, m.evBegin())
+	}
 	m.countRestore(t)
 	if !m.file.Restore() {
 		// Window underflow at the thread's stack-bottom.

@@ -50,8 +50,9 @@ func (s *SNP) setReserved(w int) {
 // re-establishing the reserved window above t's stack-top (Figure 9a)
 // and swapping the stack-top out registers through the TCB.
 func (s *SNP) Switch(t *Thread) {
-	snap := s.evBegin()
-	defer s.evEnd(EvSwitch, t.ID, snap)
+	if s.observed() {
+		defer s.evEnd(EvSwitch, t.ID, s.evBegin())
+	}
 	if t == s.running {
 		return
 	}
@@ -154,8 +155,9 @@ func (s *SNP) searchFreePair(preferred int) (int, bool) {
 // SwitchFlush flushes all windows of the running thread before switching
 // (Section 4.4), for threads expected to sleep for a long time.
 func (s *SNP) SwitchFlush(t *Thread) {
-	snap := s.evBegin()
-	defer s.evEnd(EvSwitchFlush, t.ID, snap)
+	if s.observed() {
+		defer s.evEnd(EvSwitchFlush, t.ID, s.evBegin())
+	}
 	if t == s.running {
 		return
 	}

@@ -42,8 +42,9 @@ func (s *SP) Resident(t *Thread) bool { return t.HasWindows() }
 // just above its stack-top, which frees its dead windows at no cost
 // (Section 4.1) — and schedules t.
 func (s *SP) Switch(t *Thread) {
-	snap := s.evBegin()
-	defer s.evEnd(EvSwitch, t.ID, snap)
+	if s.observed() {
+		defer s.evEnd(EvSwitch, t.ID, s.evBegin())
+	}
 	if t == s.running {
 		return
 	}
@@ -152,8 +153,9 @@ func (s *SP) claim(cursor *int, saves *int) int {
 // SwitchFlush flushes all windows (and the PRW) of the running thread
 // before switching (Section 4.4).
 func (s *SP) SwitchFlush(t *Thread) {
-	snap := s.evBegin()
-	defer s.evEnd(EvSwitchFlush, t.ID, snap)
+	if s.observed() {
+		defer s.evEnd(EvSwitchFlush, t.ID, s.evBegin())
+	}
 	if t == s.running {
 		return
 	}

@@ -43,6 +43,27 @@ func MaskAll(n int) Mask {
 	return m
 }
 
+// maskRange returns the mask with bits lo through hi set, both
+// inclusive, built a word at a time; it is empty when lo > hi. Both
+// must lie in [0, MaxWindows).
+func maskRange(lo, hi int) Mask {
+	var m Mask
+	if lo > hi {
+		return m
+	}
+	for i := lo >> 6; i <= hi>>6; i++ {
+		w := ^uint64(0)
+		if i == lo>>6 {
+			w <<= uint(lo & 63)
+		}
+		if i == hi>>6 {
+			w &= ^uint64(0) >> uint(63-hi&63)
+		}
+		m[i] = w
+	}
+	return m
+}
+
 // Bit reports whether bit i is set. Out-of-range bits read as clear.
 func (m Mask) Bit(i int) bool {
 	if i < 0 || i >= MaxWindows {
@@ -50,6 +71,9 @@ func (m Mask) Bit(i int) bool {
 	}
 	return m[i>>6]&(1<<uint(i&63)) != 0
 }
+
+// bit reports whether bit i, which must lie in [0, MaxWindows), is set.
+func (m *Mask) bit(i int) bool { return m[i>>6]&(1<<uint(i&63)) != 0 }
 
 // Set sets bit i. Out-of-range bits are ignored.
 func (m *Mask) Set(i int) {
@@ -100,31 +124,41 @@ func (m Mask) And(o Mask) Mask {
 // Low64 returns the low 64 bits; exact for files of up to 64 windows.
 func (m Mask) Low64() uint64 { return m[0] }
 
+// hexLen bounds the length of a mask's hex literal: "0x" and 16
+// digits per word.
+const hexLen = 2 + 16*maskWords
+
 // String renders the mask as a minimal hex literal ("0x0" when empty),
 // matching how the old uint32 WIM printed under %#x.
 func (m Mask) String() string {
-	hi := -1
-	for i := len(m) - 1; i >= 0; i-- {
-		if m[i] != 0 {
-			hi = i
-			break
+	var buf [hexLen]byte
+	return string(m.appendHex(buf[:0]))
+}
+
+// appendHex appends the mask's hex literal to b: the highest nonzero
+// word without leading zeros, then every lower word as 16 digits.
+func (m Mask) appendHex(b []byte) []byte {
+	hi := len(m) - 1
+	for hi > 0 && m[hi] == 0 {
+		hi--
+	}
+	b = append(b, '0', 'x')
+	b = strconv.AppendUint(b, m[hi], 16)
+	for i := hi - 1; i >= 0; i-- {
+		for shift := 60; shift >= 0; shift -= 4 {
+			b = append(b, "0123456789abcdef"[m[i]>>uint(shift)&0xf])
 		}
 	}
-	if hi < 0 {
-		return "0x0"
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "0x%x", m[hi])
-	for i := hi - 1; i >= 0; i-- {
-		fmt.Fprintf(&sb, "%016x", m[i])
-	}
-	return sb.String()
+	return b
 }
 
 // MarshalJSON encodes the mask as its hex string, keeping wide masks
 // exact (a 256-bit value does not fit a JSON number).
 func (m Mask) MarshalJSON() ([]byte, error) {
-	return []byte(strconv.Quote(m.String())), nil
+	b := make([]byte, 0, hexLen+2)
+	b = append(b, '"')
+	b = m.appendHex(b)
+	return append(b, '"'), nil
 }
 
 // UnmarshalJSON accepts the hex-string form and, for compatibility with

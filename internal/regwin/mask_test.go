@@ -2,6 +2,9 @@ package regwin
 
 import (
 	"encoding/json"
+	"math/big"
+	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -86,6 +89,51 @@ func TestMaskString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.m.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// TestMaskHexMatchesBigInt checks String and MarshalJSON against
+// "0x" + big.Int.Text(16) at every width from 2 to 256 bits: the empty
+// and full masks, single bits at both ends and at every word boundary
+// inside the width, and seeded random masks. Each must also read back
+// through UnmarshalJSON.
+func TestMaskHexMatchesBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for width := MinWindows; width <= MaxWindows; width++ {
+		masks := []Mask{{}, MaskAll(width)}
+		for _, b := range []int{0, 1, 31, 32, 63, 64, 65, 127, 128, 191, 192, width - 2, width - 1} {
+			if b >= 0 && b < width {
+				var m Mask
+				m.Set(b)
+				masks = append(masks, m)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			var m Mask
+			for j := range m {
+				m[j] = rng.Uint64()
+			}
+			masks = append(masks, m.And(MaskAll(width)))
+		}
+		for _, m := range masks {
+			v := new(big.Int)
+			for j := len(m) - 1; j >= 0; j-- {
+				v.Lsh(v, 64)
+				v.Or(v, new(big.Int).SetUint64(m[j]))
+			}
+			want := "0x" + v.Text(16)
+			if got := m.String(); got != want {
+				t.Fatalf("width %d: String() = %s, want %s", width, got, want)
+			}
+			js, err := m.MarshalJSON()
+			if err != nil || string(js) != strconv.Quote(want) {
+				t.Fatalf("width %d: MarshalJSON() = %s, %v; want %s", width, js, err, strconv.Quote(want))
+			}
+			var back Mask
+			if err := json.Unmarshal(js, &back); err != nil || back != m {
+				t.Fatalf("width %d: %s read back as %v, %v", width, js, back, err)
+			}
 		}
 	}
 }

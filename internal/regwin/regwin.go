@@ -109,6 +109,26 @@ func (f *File) WIM() Mask { return f.wim }
 // window count are discarded.
 func (f *File) SetWIM(m Mask) { f.wim = m.And(MaskAll(f.n)) }
 
+// SetValidRange sets the whole WIM at once: the windows of the cyclic
+// range from lo up to hi (lo, lo+1, ..., wrapping past n-1 to 0) are
+// valid and every other window is invalid. lo == hi leaves one window
+// valid; lo one past hi leaves all n valid. The mask is built a word at
+// a time, with no per-window loop.
+func (f *File) SetValidRange(lo, hi int) {
+	lo, hi = f.norm(lo), f.norm(hi)
+	if lo > hi {
+		// The valid range wraps, so the invalid windows are the gap
+		// between its ends.
+		f.wim = maskRange(hi+1, lo-1)
+		return
+	}
+	all, valid := MaskAll(f.n), maskRange(lo, hi)
+	for i := range all {
+		all[i] &^= valid[i]
+	}
+	f.wim = all
+}
+
 // Invalid reports whether window w is marked in the WIM.
 func (f *File) Invalid(w int) bool { return f.wim.Bit(f.norm(w)) }
 
@@ -191,12 +211,18 @@ func (f *File) RestoreWouldTrap() bool { return f.Invalid(f.Below(f.cwp)) }
 
 // Save performs the CWP motion of a save instruction. It returns false
 // without moving if the destination window is reserved (the overflow
-// trap case); trap handling is the manager's job.
+// trap case); trap handling is the manager's job. The destination is
+// computed once and its WIM bit read directly: the CWP is always
+// normalised, so one compare wraps it.
 func (f *File) Save() bool {
-	if f.SaveWouldTrap() {
+	w := f.cwp - 1
+	if w < 0 {
+		w += f.n
+	}
+	if f.wim.bit(w) {
 		return false
 	}
-	f.setCWP(f.Above(f.cwp))
+	f.setCWP(w)
 	return true
 }
 
@@ -204,10 +230,14 @@ func (f *File) Save() bool {
 // false without moving if the destination window is reserved (the
 // underflow trap case).
 func (f *File) Restore() bool {
-	if f.RestoreWouldTrap() {
+	w := f.cwp + 1
+	if w == f.n {
+		w = 0
+	}
+	if f.wim.bit(w) {
 		return false
 	}
-	f.setCWP(f.Below(f.cwp))
+	f.setCWP(w)
 	return true
 }
 

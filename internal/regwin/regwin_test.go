@@ -2,6 +2,7 @@ package regwin
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -131,6 +132,57 @@ func TestWIMTraps(t *testing.T) {
 	}
 	if !f.Save() {
 		t.Error("Save trapped with window 1 valid")
+	}
+}
+
+// TestSetValidRangeMatchesPerWindow compares SetValidRange with
+// marking every window invalid and then clearing the range one window
+// at a time: every lo and hi for every width up to 70 and around each
+// word boundary, and a seeded sample at every other width. On each
+// result, Save and Restore from both ends of the range and the windows
+// just outside them must trap exactly when SaveWouldTrap and
+// RestoreWouldTrap say so.
+func TestSetValidRangeMatchesPerWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(n, lo, hi int) {
+		want := NewFile(n)
+		want.SetWIM(MaskAll(n))
+		for w := lo; ; w = want.Below(w) {
+			want.SetInvalid(w, false)
+			if w == hi {
+				break
+			}
+		}
+		f := NewFile(n)
+		f.SetValidRange(lo, hi)
+		if f.WIM() != want.WIM() {
+			t.Fatalf("n=%d SetValidRange(%d, %d) = %v, want %v", n, lo, hi, f.WIM(), want.WIM())
+		}
+		for _, cwp := range []int{lo, hi, lo - 1, hi + 1} {
+			f.SetCWP(cwp)
+			if trap := f.SaveWouldTrap(); f.Save() == trap {
+				t.Fatalf("n=%d WIM %v: Save from %d returned %v with SaveWouldTrap %v", n, f.WIM(), cwp, !trap, trap)
+			}
+			f.SetCWP(cwp)
+			if trap := f.RestoreWouldTrap(); f.Restore() == trap {
+				t.Fatalf("n=%d WIM %v: Restore from %d returned %v with RestoreWouldTrap %v", n, f.WIM(), cwp, !trap, trap)
+			}
+		}
+	}
+	for n := MinWindows; n <= MaxWindows; n++ {
+		if n <= 70 || n%64 <= 1 || n%64 == 63 {
+			for lo := 0; lo < n; lo++ {
+				for hi := 0; hi < n; hi++ {
+					if n <= 70 || (lo+hi)%7 == 0 {
+						check(n, lo, hi)
+					}
+				}
+			}
+			continue
+		}
+		for i := 0; i < 20; i++ {
+			check(n, rng.Intn(n), rng.Intn(n))
+		}
 	}
 }
 

@@ -777,9 +777,19 @@ func (k *Kernel) SetQuantum(cycles uint64) { k.quantum = cycles }
 // Priority policy has a strictly higher-priority thread ready, or (b)
 // time-slicing is armed and the quantum expired with somebody else
 // ready. Called from the guest side at safe points (Work, both edges
-// of Call, stream operations).
+// of Call, stream operations). It is the guard only, small enough to
+// inline: a poll that cannot preempt — nobody ready, or a FIFO or
+// working-set kernel with no quantum — makes no call.
 func (k *Kernel) maybePreempt() {
-	if k.current == nil || k.ready.len() == 0 {
+	if k.ready.n != 0 && (k.quantum != 0 || k.policy == Priority) {
+		k.pollPreempt()
+	}
+}
+
+// pollPreempt is maybePreempt's slow path: somebody is ready and a
+// quantum or the Priority policy may preempt the running thread.
+func (k *Kernel) pollPreempt() {
+	if k.current == nil {
 		return
 	}
 	if k.policy == Priority && k.ready.top() > k.level(k.current) {

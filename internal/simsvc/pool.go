@@ -290,6 +290,20 @@ func (p *Pool) Submit(spec JobSpec) (*Job, error) {
 	return p.SubmitFrom("", spec)
 }
 
+// jobID renders a job sequence number as Sprintf("j%06d", seq) does
+// for seq >= 0: a "j" and at least six decimal digits, zero-padded.
+func jobID(seq int) string {
+	var buf [24]byte
+	i := len(buf)
+	for n := uint64(seq); n > 0 || len(buf)-i < 6; n /= 10 {
+		i--
+		buf[i] = byte('0' + n%10)
+	}
+	i--
+	buf[i] = 'j'
+	return string(buf[i:])
+}
+
 // SubmitFrom is Submit with a client identity for the per-client
 // admission tier: the server passes the X-Client-ID header through so
 // each client's share of the queue can be bounded independently. An
@@ -297,10 +311,10 @@ func (p *Pool) Submit(spec JobSpec) (*Job, error) {
 func (p *Pool) SubmitFrom(client string, spec JobSpec) (*Job, error) {
 	t0 := time.Now()
 	spec = spec.Normalize()
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	hash := spec.Hash()
+	hash := spec.hash()
 
 	p.mu.Lock()
 	if p.closed {
@@ -312,7 +326,7 @@ func (p *Pool) SubmitFrom(client string, spec JobSpec) (*Job, error) {
 		return j, nil
 	}
 	p.seq++
-	id := fmt.Sprintf("j%06d", p.seq)
+	id := jobID(p.seq)
 	p.mu.Unlock()
 
 	// Submission-time lookups carry no request deadline: the job, once
@@ -587,7 +601,7 @@ func (p *Pool) cachedSerialRunner() harness.Runner {
 		out := make([]harness.Result, len(cells))
 		for i, c := range cells {
 			spec := CellSpec(c)
-			hash := spec.Hash()
+			hash := spec.hash()
 			if res, ok := p.cfg.Cache.Get(context.Background(), hash); ok && res.Cell != nil {
 				out[i] = res.Cell.HarnessResult(spec)
 				continue

@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"cyclicwin/internal/core"
 	"cyclicwin/internal/corpus"
@@ -153,8 +154,10 @@ func (s JobSpec) Normalize() JobSpec {
 }
 
 // Validate reports whether the normalized spec names a runnable job.
-func (s JobSpec) Validate() error {
-	s = s.Normalize()
+func (s JobSpec) Validate() error { return s.Normalize().validate() }
+
+// validate is Validate of a spec that is already normalized.
+func (s JobSpec) validate() error {
 	if s.Draft < corpus.MinDraftSize || s.Draft > MaxTextBytes {
 		return fmt.Errorf("simsvc: draft %d out of range %d..%d", s.Draft, corpus.MinDraftSize, MaxTextBytes)
 	}
@@ -205,18 +208,65 @@ func (s JobSpec) Validate() error {
 // versioned, field-ordered rendering of the normalized spec. Two specs
 // that describe the same simulation hash identically; any semantic
 // difference produces a different hash.
-func (s JobSpec) Hash() string {
-	n := s.Normalize()
-	h := sha256.New()
-	// v4: the T3-scale cell fields (threads/cores/quantum/migration)
-	// joined the spec and cell results gained the migration and
-	// preemption counters — the version bump makes every pre-v4 cache
-	// entry unreachable rather than shaped wrong.
-	fmt.Fprintf(h, "simsvc-spec-v4|exp=%s|scheme=%s|windows=%d|policy=%s|behavior=%s|draft=%d|dict=%d|wl=%v|search=%t|hw=%t|tt=%d|mc=%d|trace=%t|threads=%d|cores=%d|quantum=%d|migrate=%d",
-		n.Experiment, n.Scheme, n.Windows, n.Policy, n.Behavior,
-		n.Draft, n.Dict, n.WindowList, n.SearchAlloc, n.HWAssist, n.TrapTransfer, n.MaxCycles, n.Trace,
-		n.Threads, n.Cores, n.Quantum, n.MigrateEvery)
-	return hex.EncodeToString(h.Sum(nil))
+func (s JobSpec) Hash() string { return s.Normalize().hash() }
+
+// hash is Hash of a spec that is already normalized. It appends the
+// rendering into a stack buffer; the bytes are exactly those of the
+// format
+//
+//	simsvc-spec-v4|exp=%s|scheme=%s|windows=%d|policy=%s|behavior=%s|draft=%d|dict=%d|wl=%v|search=%t|hw=%t|tt=%d|mc=%d|trace=%t|threads=%d|cores=%d|quantum=%d|migrate=%d
+//
+// over the fields in that order (the window list as %v prints an
+// []int, "[4 6 8]"), so every cache key and disk entry name stays the
+// same. v4: the T3-scale cell fields (threads/cores/quantum/migration)
+// joined the spec and cell results gained the migration and preemption
+// counters — the version bump makes every pre-v4 cache entry
+// unreachable rather than shaped wrong.
+func (s JobSpec) hash() string {
+	var buf [256]byte
+	b := append(buf[:0], "simsvc-spec-v4|exp="...)
+	b = append(b, s.Experiment...)
+	b = append(b, "|scheme="...)
+	b = append(b, s.Scheme...)
+	b = append(b, "|windows="...)
+	b = strconv.AppendInt(b, int64(s.Windows), 10)
+	b = append(b, "|policy="...)
+	b = append(b, s.Policy...)
+	b = append(b, "|behavior="...)
+	b = append(b, s.Behavior...)
+	b = append(b, "|draft="...)
+	b = strconv.AppendInt(b, int64(s.Draft), 10)
+	b = append(b, "|dict="...)
+	b = strconv.AppendInt(b, int64(s.Dict), 10)
+	b = append(b, "|wl=["...)
+	for i, w := range s.WindowList {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(w), 10)
+	}
+	b = append(b, "]|search="...)
+	b = strconv.AppendBool(b, s.SearchAlloc)
+	b = append(b, "|hw="...)
+	b = strconv.AppendBool(b, s.HWAssist)
+	b = append(b, "|tt="...)
+	b = strconv.AppendInt(b, int64(s.TrapTransfer), 10)
+	b = append(b, "|mc="...)
+	b = strconv.AppendUint(b, s.MaxCycles, 10)
+	b = append(b, "|trace="...)
+	b = strconv.AppendBool(b, s.Trace)
+	b = append(b, "|threads="...)
+	b = strconv.AppendInt(b, int64(s.Threads), 10)
+	b = append(b, "|cores="...)
+	b = strconv.AppendInt(b, int64(s.Cores), 10)
+	b = append(b, "|quantum="...)
+	b = strconv.AppendUint(b, s.Quantum, 10)
+	b = append(b, "|migrate="...)
+	b = strconv.AppendInt(b, int64(s.MigrateEvery), 10)
+	sum := sha256.Sum256(b)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
 // Sizes returns the workload scale of the normalized spec.

@@ -1,6 +1,11 @@
 package simsvc
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"cyclicwin/internal/core"
@@ -50,6 +55,82 @@ func TestHashStable(t *testing.T) {
 	for _, e := range equivalences {
 		if e.a.Hash() != e.b.Hash() {
 			t.Errorf("%s: specs should hash identically:\n  %+v\n  %+v", e.name, e.a, e.b)
+		}
+	}
+}
+
+// TestHashPinned pins Hash to content addresses computed by the
+// fmt.Fprintf rendering it replaced, so no cache key or disk entry
+// name moves: a plain cell, a quick-size cell, a T3 cell with cores and
+// migration, a traced cell with a budget, named experiments with the
+// default and explicit window lists, a cell with every bool set and
+// extreme unsigned values, and an invalid spec with negative fields.
+func TestHashPinned(t *testing.T) {
+	pins := []struct {
+		name string
+		spec JobSpec
+		hash string
+	}{
+		{"cell", JobSpec{Experiment: ExperimentCell, Scheme: "SP", Windows: 8, Behavior: "high-fine", Draft: 2000, Dict: 3001},
+			"813ab2ba337b19a6a609156defda1ba285a9eed1f26fde3e9aadfc3483367d15"},
+		{"quick cell", JobSpec{Experiment: ExperimentCell, Scheme: "NS", Windows: 4, Policy: "WS", Behavior: "low-coarse"},
+			"65e15f554c87d90ef04c250e3a688670ab5598c7e4c06e9ab1415c02dfdef60e"},
+		{"t3 cell", JobSpec{Experiment: ExperimentCell, Scheme: "SNP", Windows: 32, Policy: "PRIO", Threads: 128, Cores: 4, Quantum: 500, MigrateEvery: 3},
+			"e473f2b78b1bb8b567643f933dcd51dc199a5be76ed01f6f0bab05d678ddefcf"},
+		{"traced cell", JobSpec{Experiment: ExperimentCell, Scheme: "SNP", Windows: 6, Behavior: "high-fine", Draft: 600, Dict: 901, Trace: true, MaxCycles: 123456789},
+			"38cbbaf0ce2e829345933a919e743e592521b622bc0263ded9677c657875919a"},
+		{"named default", JobSpec{Experiment: "fig11"},
+			"f374b0c9ec8494075f7b73efc9ce993f92ad93c482c90638a59c8cb4fe8656c2"},
+		{"named explicit", JobSpec{Experiment: "fig12", WindowList: []int{4, 6, 8, 16, 32}, Full: true},
+			"92f0d94426b39839e6fcfa00e360bc21f7fafae19f8c67d49e785ff9fb973fc9"},
+		{"named single", JobSpec{Experiment: "tail", WindowList: []int{256}},
+			"fb709f7f579a2bb4c7d222bd6b66ef18a7ff765db213d7135d5b1cfd99d85dc2"},
+		{"every bool", JobSpec{Experiment: ExperimentCell, Scheme: "SP", Windows: 256, Behavior: "high-fine", Full: true,
+			SearchAlloc: true, HWAssist: true, Trace: true, TrapTransfer: 3, MaxCycles: 1 << 63, Quantum: 1<<64 - 1},
+			"ecd2959d51fd4f991dd88158f9e90e71d5102e5d964fbf505d9243d272b02d25"},
+		{"negative", JobSpec{Experiment: ExperimentCell, Scheme: "x", Windows: -7, Draft: -1, Dict: -2, TrapTransfer: -3, Threads: -4},
+			"a4fb40dc496fdaa802d36fed2b935082249f6a0c0c53e53dbb1aa46cf4530719"},
+	}
+	for _, p := range pins {
+		if got := p.spec.Hash(); got != p.hash {
+			t.Errorf("%s: Hash() = %s, want %s", p.name, got, p.hash)
+		}
+	}
+}
+
+// TestHashMatchesFormat compares hash with the fmt rendering it
+// replaced over seeded random specs, negative and extreme values and
+// window lists of every length up to 40 included.
+func TestHashMatchesFormat(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	word := func() string { return []string{"", "cell", "fig11", "SP", "high-fine", "x|y=z", "ünï"}[rng.Intn(7)] }
+	num := func() int { return []int{0, 1, -1, rng.Int(), -rng.Int(), math.MaxInt, math.MinInt}[rng.Intn(7)] }
+	for i := 0; i < 2000; i++ {
+		s := JobSpec{Experiment: word(), Scheme: word(), Windows: num(), Policy: word(), Behavior: word(),
+			Draft: num(), Dict: num(), SearchAlloc: rng.Intn(2) == 0, HWAssist: rng.Intn(2) == 0,
+			TrapTransfer: num(), MaxCycles: rng.Uint64(), Trace: rng.Intn(2) == 0, Threads: num(),
+			Cores: num(), Quantum: rng.Uint64(), MigrateEvery: num()}
+		if n := rng.Intn(41); n > 0 || rng.Intn(2) == 0 {
+			s.WindowList = make([]int, n)
+			for j := range s.WindowList {
+				s.WindowList[j] = num()
+			}
+		}
+		sum := sha256.Sum256([]byte(fmt.Sprintf("simsvc-spec-v4|exp=%s|scheme=%s|windows=%d|policy=%s|behavior=%s|draft=%d|dict=%d|wl=%v|search=%t|hw=%t|tt=%d|mc=%d|trace=%t|threads=%d|cores=%d|quantum=%d|migrate=%d",
+			s.Experiment, s.Scheme, s.Windows, s.Policy, s.Behavior,
+			s.Draft, s.Dict, s.WindowList, s.SearchAlloc, s.HWAssist, s.TrapTransfer, s.MaxCycles, s.Trace,
+			s.Threads, s.Cores, s.Quantum, s.MigrateEvery)))
+		if got, want := s.hash(), hex.EncodeToString(sum[:]); got != want {
+			t.Fatalf("hash of %+v = %s, want %s", s, got, want)
+		}
+	}
+}
+
+// TestJobIDMatchesFormat pins jobID to Sprintf("j%06d").
+func TestJobIDMatchesFormat(t *testing.T) {
+	for _, seq := range []int{0, 1, 9, 10, 99999, 100000, 999999, 1000000, 1234567, math.MaxInt} {
+		if got, want := jobID(seq), fmt.Sprintf("j%06d", seq); got != want {
+			t.Errorf("jobID(%d) = %q, want %q", seq, got, want)
 		}
 	}
 }
