@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package sched provides the multi-threading kernel the paper's
 // evaluation runs on: guest threads as coroutines, a ring-buffer ready
 // queue, the FIFO and working-set (Section 4.6) policies, and blocking
@@ -11,18 +13,19 @@
 // off, leaving the paper's non-preemptive single-core behaviour
 // byte-exact.
 //
-// Guest threads are goroutines, and exactly one of them holds the
-// processor at any time, so execution is fully deterministic. There is
-// no scheduler goroutine: the thread that gives the processor up (by
-// blocking, yielding, being preempted or exiting) runs the dispatch
-// step itself and wakes the chosen thread directly, one goroutine
-// switch per dispatch and none when it picks itself again. Run makes
-// the first dispatch and waits for the run to end. A thread's
-// goroutine starts at its first dispatch, and Run returns only after
-// every goroutine it started has finished: when the run ends with
-// threads unfinished, Run resumes each one to unwind its body (its
-// deferred calls run, but Block and Yield no longer return), leaving
-// its windows and state as the run left them.
+// Each guest thread is an iter.Pull coroutine, and exactly one of them
+// holds the processor at any time, so execution is fully deterministic.
+// Run is the dispatch loop: it picks the next thread, switches its
+// core's windows to it and resumes its coroutine, which runs until the
+// thread gives the processor back by blocking, yielding or being
+// preempted (each yields to the loop) or by exiting (its coroutine
+// returns). A dispatch is two coroutine switches on Run's goroutine; it
+// never enters the Go scheduler. A thread's coroutine is made at its
+// first dispatch, and Run returns only after every coroutine it made
+// has finished: when the run ends with threads unfinished, Run stops
+// each one, unwinding its body (its deferred calls run, but Block and
+// Yield no longer return) and leaving its windows and state as the run
+// left them.
 //
 // Failure model: guest-triggerable conditions never panic the kernel.
 // A thread may Fail with a structured error (the ISA layer raises
@@ -30,12 +33,17 @@
 // fault.DeadlockError naming every thread and registered resource, and
 // the optional cycle budget turns runaway guests into a
 // fault.BudgetError; all three surface as the error of Run. A panic
-// in the window manager during a dispatch is not a guest fault: Run
+// in the window manager outside a guest body (during a dispatch, or as
+// a thread exits and wakes its joiners) is not a guest fault: Run
 // re-raises it on its caller's goroutine.
+//
+// The go1.23 build constraint raises this file's language version for
+// iter.Pull while both modules' go lines stay at go 1.22.
 package sched
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 
 	"cyclicwin/internal/core"
@@ -133,12 +141,14 @@ type TCB struct {
 	env   *Env
 	err   error // terminal error when state is Failed
 
-	// resume hands the thread the processor. It is made when the
-	// thread's goroutine starts, at its first dispatch, and cleared when
-	// that goroutine finishes, so it is non-nil exactly while the
-	// goroutine lives. Its one-slot buffer lets the sender go on to park
-	// without waiting for the thread to reach its receive.
-	resume chan struct{}
+	// next resumes the thread's coroutine until the thread gives the
+	// processor back, and stop unwinds it; inside the coroutine, yield
+	// gives the processor back to Run's loop and reports false once Run
+	// stops the thread. All three are made at the thread's first
+	// dispatch.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// joiners are threads blocked in Join on this one.
 	joiners []*TCB
@@ -212,10 +222,9 @@ type diag struct {
 
 // Kernel is the scheduler: non-preemptive FIFO/WorkingSet as in the
 // paper, optionally preemptive (SetQuantum, the Priority policy) and
-// multi-core (NewMultiKernel) for T3-scale configurations. Its
-// dispatch state (ready queue, current thread, per-core last thread)
-// is written by whichever goroutine holds the processor; the handoff
-// channels order those writes, so the kernel needs no lock.
+// multi-core (NewMultiKernel) for T3-scale configurations. Its state
+// is written by Run's loop and by the thread coroutine it resumed, one
+// at a time, so the kernel needs no lock.
 type Kernel struct {
 	// cores are the window managers, one per modelled core; mgr is the
 	// manager of the core the current thread runs on (cores[0] between
@@ -238,10 +247,7 @@ type Kernel struct {
 	nextID  int
 	running bool
 
-	// done carries the end of the run to Run, and each stopped thread's
-	// acknowledgement after it; stopping is set while Run stops the
-	// unfinished threads.
-	done     chan *runEnd
+	// stopping is set while Run stops the unfinished threads.
 	stopping bool
 
 	// migrateEvery, when non-zero on a multi-core kernel, migrates a
@@ -300,7 +306,6 @@ func NewMultiKernel(mgrs []core.Manager, policy Policy) *Kernel {
 		lastOnCore: make([]*TCB, len(mgrs)),
 		cyc:        cyc,
 		policy:     policy,
-		done:       make(chan *runEnd),
 	}
 }
 
@@ -387,7 +392,7 @@ func (k *Kernel) SetChaos(inj *fault.Injector) {
 
 // Spawn creates a guest thread. Threads spawned before Run start in
 // spawn order; threads spawned by running guests are enqueued at the
-// back of the ready queue. The thread's goroutine starts at its first
+// back of the ready queue. The thread's coroutine is made at its first
 // dispatch.
 func (k *Kernel) Spawn(name string, body func(*Env)) *TCB {
 	coreIdx := k.nextID % len(k.cores)
@@ -405,15 +410,15 @@ func (k *Kernel) Spawn(name string, body func(*Env)) *TCB {
 	return t
 }
 
-// threadMain is the goroutine of thread t, started by its first
-// dispatch: it runs the body, retires the thread and hands the
-// processor on.
-func (k *Kernel) threadMain(t *TCB) {
+// threadMain is the coroutine of thread t, made at its first dispatch:
+// it runs the body and retires the thread. Its return gives the
+// processor back to Run's loop for good.
+func (k *Kernel) threadMain(t *TCB, yield func(struct{}) bool) {
+	t.yield = yield
 	err := runBody(t)
 	if k.stopping {
-		// Run stopped the kernel and t has unwound: acknowledge, leaving
-		// its windows and state as the run left them.
-		k.done <- nil
+		// Run stopped the kernel and t has unwound, leaving its windows
+		// and state as the run left them.
 		return
 	}
 	if err != nil {
@@ -439,10 +444,8 @@ func (k *Kernel) threadMain(t *TCB) {
 		k.Wake(j)
 	}
 	t.joiners = nil
-	t.resume = nil
 	k.current = nil
 	k.lastOnCore[t.coreIdx] = nil
-	k.handOff(nil)
 }
 
 // level returns the ready-queue bucket for t: its priority under the
@@ -480,28 +483,20 @@ func runBody(t *TCB) (err error) {
 	return nil
 }
 
-// runEnd is how a run ended: err is Run's result, and val, when
-// non-nil, a panic raised during a dispatch, which Run re-raises.
-type runEnd struct {
-	err error
-	val any
-}
-
 // Run dispatches threads until all are done. It returns nil on clean
 // completion, the failing thread's error (see Env.Fail), a
 // *fault.DeadlockError when blocked threads remain with an empty ready
 // queue, or a *fault.BudgetError when the cycle budget (SetMaxCycles)
-// is exceeded. A panic raised by the window manager during a dispatch
-// is re-raised, with the same value, on the goroutine that called Run.
+// is exceeded. A panic raised by the window manager outside a guest
+// body is re-raised, with the same value, on the goroutine that called
+// Run.
 //
-// Run makes the first dispatch; from then on each thread dispatches
-// its successor when it gives the processor up, and Run waits for the
-// run to end. On every end — clean, failed, deadlocked, over budget or
-// panicked — Run returns only after every guest goroutine has
-// finished: it resumes each unfinished thread to unwind its body (a
-// thread stopped this way keeps its state and windows) and waits for
-// each in turn. A run that ended with an error or a panic leaves the
-// kernel stopped: a later Run returns that error without dispatching.
+// On every end — clean, failed, deadlocked, over budget or panicked —
+// Run returns only after every thread coroutine has finished: it stops
+// each unfinished thread, unwinding its body (a thread stopped this way
+// keeps its state and windows). A run that ended with an error or a
+// panic leaves the kernel stopped: a later Run returns that error
+// without dispatching.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("sched: Run called re-entrantly")
@@ -513,59 +508,60 @@ func (k *Kernel) Run() error {
 	// first dispatch honours them (mid-run changes take effect at the
 	// thread's next enqueue, or lazily via pop's stale-bucket re-file).
 	k.refileReady()
-	next, end := k.dispatch()
-	if end == nil {
-		k.resumeThread(next)
-		end = <-k.done
-	}
-	k.stop()
-	if end.val != nil {
-		k.err = fmt.Errorf("sched: run stopped by a panic during dispatch: %v", end.val)
-		panic(end.val)
-	}
-	k.err = end.err
-	return end.err
-}
-
-// stop resumes every thread whose goroutine still lives with the
-// stopping flag set, and waits for each to unwind and acknowledge.
-func (k *Kernel) stop() {
+	val, err := k.loop()
 	k.stopping = true
 	for _, t := range k.threads {
-		if t.resume != nil {
-			t.resume <- struct{}{}
-			<-k.done
-			t.resume = nil
+		if t.stop != nil {
+			t.stop()
 		}
 	}
 	k.stopping = false
+	if val != nil {
+		k.err = fmt.Errorf("sched: run stopped by a kernel panic: %v", val)
+		panic(val)
+	}
+	k.err = err
+	return err
 }
 
-// dispatch is the scheduling step, run by the goroutine that gives the
-// processor up (Run's, for the first dispatch). It picks the next
-// thread, switches its core's windows to it and makes it current; or,
-// when the run is over, it returns how it ended instead. A panic in
-// the step (from the window manager, say) ends the run too.
-func (k *Kernel) dispatch() (t *TCB, end *runEnd) {
-	defer func() {
-		if r := recover(); r != nil {
-			t, end = nil, &runEnd{val: r}
+// loop is Run's dispatch loop: it dispatches a thread and resumes its
+// coroutine, making it at the thread's first dispatch, until the run
+// ends. It returns the run's error, or the value of a panic raised
+// outside a guest body, which reaches it from dispatch or through the
+// coroutine's next.
+func (k *Kernel) loop() (val any, err error) {
+	defer func() { val = recover() }()
+	for {
+		t, end := k.dispatch()
+		if t == nil {
+			return nil, end
 		}
-	}()
+		if t.next == nil {
+			t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) { k.threadMain(t, yield) })
+		}
+		t.next()
+	}
+}
+
+// dispatch is the scheduling step: it picks the next thread, switches
+// its core's windows to it and makes it current. When the run is over
+// it returns no thread and the error the run ended with (nil when every
+// thread is done).
+func (k *Kernel) dispatch() (*TCB, error) {
 	if k.err != nil {
-		return nil, &runEnd{err: k.err}
+		return nil, k.err
 	}
 	if k.maxCycles != 0 && k.cyc.Total() > k.maxCycles {
-		return nil, &runEnd{err: k.budgetError()}
+		return nil, k.budgetError()
 	}
-	t = k.pop()
+	t := k.pop()
 	if t == nil {
 		for _, th := range k.threads {
 			if th.state == Blocked {
-				return nil, &runEnd{err: k.deadlockError()}
+				return nil, k.deadlockError()
 			}
 		}
-		return nil, &runEnd{} // all done
+		return nil, nil // all done
 	}
 	migrated := k.placeThread(t)
 	mgr := k.cores[t.coreIdx]
@@ -587,44 +583,11 @@ func (k *Kernel) dispatch() (t *TCB, end *runEnd) {
 	return t, nil
 }
 
-// handOff gives up the processor held by the calling goroutine, whose
-// thread self (nil once the thread has exited) is already re-queued,
-// blocked or retired: it dispatches and wakes the next thread, or
-// hands the end of the run to Run. It reports whether self was picked
-// again, in which case self carries on without a goroutine switch.
-func (k *Kernel) handOff(self *TCB) bool {
-	next, end := k.dispatch()
-	switch {
-	case end != nil:
-		k.done <- end
-	case next == self:
-		return true
-	default:
-		k.resumeThread(next)
-	}
-	return false
-}
-
-// resumeThread passes the processor to t, starting t's goroutine on its
-// first dispatch.
-func (k *Kernel) resumeThread(t *TCB) {
-	if t.resume != nil {
-		t.resume <- struct{}{}
-		return
-	}
-	t.resume = make(chan struct{}, 1)
-	go k.threadMain(t)
-}
-
-// suspend gives the processor up on behalf of the running thread t,
-// already re-queued or blocked, and returns once t is dispatched
-// again; if Run stops the kernel instead, t unwinds.
+// suspend gives the processor back to Run's loop on behalf of the
+// running thread t, already re-queued or blocked, and returns once t is
+// dispatched again; if Run stops the kernel instead, t unwinds.
 func (k *Kernel) suspend(t *TCB) {
-	if k.handOff(t) {
-		return
-	}
-	<-t.resume
-	if k.stopping {
+	if !t.yield(struct{}{}) {
 		panic(stopThread{})
 	}
 }

@@ -39,6 +39,22 @@ func (m *panicOnSwitch) Switch(t *core.Thread) {
 	m.Manager.Switch(t)
 }
 
+// panicOnExit is a window manager whose Exit panics with val.
+type panicOnExit struct {
+	core.Manager
+	val any
+}
+
+func (m *panicOnExit) Exit() { panic(m.val) }
+
+// panicOnResident is a window manager whose Resident panics with val.
+type panicOnResident struct {
+	core.Manager
+	val any
+}
+
+func (m *panicOnResident) Resident(*core.Thread) bool { panic(m.val) }
+
 // runCatching runs k and returns the value Run panicked with on the
 // calling goroutine, or Run's error.
 func runCatching(k *Kernel) (val any, err error) {
@@ -59,7 +75,7 @@ func sleeper(e *Env) {
 }
 
 // TestRunLeavesNoGoroutines pins deterministic teardown: whichever way
-// a run ends, every guest goroutine has finished once Run returns,
+// a run ends, every thread coroutine has finished once Run returns,
 // including threads parked mid-call, threads woken but not yet
 // dispatched, and threads never dispatched at all.
 func TestRunLeavesNoGoroutines(t *testing.T) {
@@ -204,23 +220,48 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 }
 
 // TestRunReraisesManagerPanic pins panic forwarding: a window-manager
-// panic during a dispatch — made by Run itself or by a guest goroutine
-// handing the processor on — surfaces on Run's caller with the same
-// value, not as a "sched: … panicked" guest error, and leaves no
-// goroutine behind.
+// panic outside a guest body — in a dispatch's Switch, in the Exit of a
+// thread whose body returned, or in the Resident check of the Wake that
+// releases its joiner — surfaces on Run's caller with the same value,
+// not as a "sched: … panicked" guest error, and leaves no goroutine
+// behind.
 func TestRunReraisesManagerPanic(t *testing.T) {
+	type panicky struct {
+		name   string
+		policy Policy
+		wrap   func(m core.Manager, val any) core.Manager
+	}
+	var cases []panicky
 	for _, nth := range []int{1, 2, 5} {
-		t.Run(fmt.Sprintf("switch=%d", nth), func(t *testing.T) {
+		cases = append(cases, panicky{fmt.Sprintf("switch=%d", nth), FIFO, func(m core.Manager, val any) core.Manager {
+			return &panicOnSwitch{Manager: m, n: nth, val: val}
+		}})
+	}
+	cases = append(cases,
+		panicky{"exit", FIFO, func(m core.Manager, val any) core.Manager {
+			return &panicOnExit{Manager: m, val: val}
+		}},
+		panicky{"joiner wake", WorkingSet, func(m core.Manager, val any) core.Manager {
+			return &panicOnResident{Manager: m, val: val}
+		}})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			val := &struct{ nth int }{nth}
-			k := NewKernel(&panicOnSwitch{Manager: core.New(core.SchemeNS, core.Config{Windows: 6}), n: nth, val: val}, FIFO)
+			val := &struct{ name string }{c.name}
+			k := NewKernel(c.wrap(core.New(core.SchemeNS, core.Config{Windows: 6}), val), c.policy)
+			var workers []*TCB
 			for i := 0; i < 3; i++ {
-				k.Spawn(fmt.Sprint("t", i), func(e *Env) {
+				workers = append(workers, k.Spawn(fmt.Sprint("t", i), func(e *Env) {
 					for j := 0; j < 4; j++ {
 						e.Call(func(e *Env) { e.Yield() })
 					}
-				})
+				}))
 			}
+			k.Spawn("joiner", func(e *Env) {
+				for _, w := range workers {
+					e.Join(w)
+				}
+			})
 			got, err := runCatching(k)
 			if got != val {
 				t.Fatalf("Run returned %v and panicked with %v, want a panic with %v", err, got, val)
@@ -232,10 +273,37 @@ func TestRunReraisesManagerPanic(t *testing.T) {
 	}
 }
 
+// TestYieldDoesNotAllocate pins a dispatch at zero heap allocations
+// with the audit off: a thread's coroutine is made once, at its first
+// dispatch, and every later switch resumes it.
+func TestYieldDoesNotAllocate(t *testing.T) {
+	defer core.SetInvariantChecks(core.InvariantChecksEnabled())
+	core.SetInvariantChecks(false)
+	k := newKernel(core.SchemeSP, 8, FIFO)
+	var allocs float64
+	done := false
+	k.Spawn("measurer", func(e *Env) {
+		e.Yield() // the partner's coroutine exists from here on
+		allocs = testing.AllocsPerRun(100, e.Yield)
+		done = true
+	})
+	k.Spawn("partner", func(e *Env) {
+		for !done {
+			e.Yield()
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("a two-thread Env.Yield: %v allocations, want 0", allocs)
+	}
+}
+
 // BenchmarkYieldHandoff measures one scheduler handoff: two threads
-// alternate Env.Yield, so each op is one dispatch that wakes the other
-// thread's goroutine. It is the in-repository counterpart of
-// perfbench's sched.handoff.ns.
+// alternate Env.Yield, so each op is one dispatch, a switch from the
+// yielding thread's coroutine to Run's loop and on to the other's. It
+// is the in-repository counterpart of perfbench's sched.handoff.ns.
 func BenchmarkYieldHandoff(b *testing.B) {
 	// TestMain arms the invariant audit for this binary; it re-verifies
 	// the window file on every switch, so it is off while measuring.
