@@ -25,10 +25,6 @@ const (
 	// counters, identical registers), so it may run under golden-file
 	// assertions.
 	PointFlushReload
-	// PointICacheFlush drops the interpreter's predecoded instruction
-	// cache; the next fetch re-decodes from memory. Observationally
-	// neutral.
-	PointICacheFlush
 
 	// NumPoints bounds the Point values.
 	NumPoints
@@ -43,8 +39,6 @@ func (p Point) String() string {
 		return "spurious-trap"
 	case PointFlushReload:
 		return "flush-reload"
-	case PointICacheFlush:
-		return "icache-flush"
 	}
 	return fmt.Sprintf("Point(%d)", int(p))
 }
@@ -53,11 +47,11 @@ func (p Point) String() string {
 // deterministic RNG: the same seed and the same Poll sequence produce
 // the same perturbation schedule, so chaos runs are reproducible.
 //
-// Layers Arm the hooks (the kernel arms preemption and window hooks,
-// the interpreter arms the icache hook); tests and tools Enable the
-// points they want with a mean firing period in consultations. An
-// Injector is not safe for concurrent use — it belongs to exactly one
-// simulation, which is single-threaded by construction.
+// Layers Arm the hooks (the kernel arms the preemption and window
+// hooks); tests and tools Enable the points they want with a mean
+// firing period in consultations. An Injector is not safe for
+// concurrent use — it belongs to exactly one simulation, which is
+// single-threaded by construction.
 type Injector struct {
 	rng *rand.Rand
 

@@ -92,25 +92,45 @@ type Result struct {
 // simulations; only the map itself needs the lock.
 type workload struct {
 	source, main, forbidden []byte
+	used                    uint64 // workloadTick at the last load
 }
 
+// maxWorkloads bounds the corpus cache: clients of the service choose
+// the sizes, and an entry at the largest size they may ask for holds
+// about 3 MB. The least recently loaded entry makes room for a new
+// one; a sweep uses one size, so the sizes in use stay resident.
+const maxWorkloads = 4
+
 var (
-	workloadsMu sync.Mutex
-	workloads   = map[Sizes]*workload{}
+	workloadsMu  sync.Mutex
+	workloads    = map[Sizes]*workload{}
+	workloadTick uint64
 )
 
 func loadWorkload(sz Sizes) *workload {
 	workloadsMu.Lock()
 	defer workloadsMu.Unlock()
-	if w, ok := workloads[sz]; ok {
-		return w
+	workloadTick++
+	w, ok := workloads[sz]
+	if !ok {
+		if len(workloads) == maxWorkloads {
+			var lru Sizes
+			oldest := workloadTick
+			for s, c := range workloads {
+				if c.used < oldest {
+					lru, oldest = s, c.used
+				}
+			}
+			delete(workloads, lru)
+		}
+		w = &workload{
+			source:    corpus.ScaledDraft(sz.Draft),
+			main:      corpus.ScaledMainDict(sz.Dict),
+			forbidden: corpus.ScaledForbiddenDict(sz.Dict),
+		}
+		workloads[sz] = w
 	}
-	w := &workload{
-		source:    corpus.ScaledDraft(sz.Draft),
-		main:      corpus.ScaledMainDict(sz.Dict),
-		forbidden: corpus.ScaledForbiddenDict(sz.Dict),
-	}
-	workloads[sz] = w
+	w.used = workloadTick
 	return w
 }
 

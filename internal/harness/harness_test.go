@@ -339,3 +339,24 @@ func TestRunSpellWithBudgetLeavesNoGoroutines(t *testing.T) {
 		t.Errorf("%d goroutines before the runs, %d after: guest goroutines outlived Run", before, n)
 	}
 }
+
+// TestWorkloadCacheBounded loads more distinct corpus sizes than the
+// cache holds, touching one size between loads: the cache must stay
+// within its bound and keep answering the touched size with the same
+// corpus.
+func TestWorkloadCacheBounded(t *testing.T) {
+	hot := Sizes{Draft: 600, Dict: 901}
+	w := loadWorkload(hot)
+	for i := 1; i <= 3*maxWorkloads; i++ {
+		loadWorkload(Sizes{Draft: 600 + i, Dict: 901 + i})
+		if loadWorkload(hot) != w {
+			t.Fatalf("after %d other sizes, the touched size was regenerated", i)
+		}
+	}
+	workloadsMu.Lock()
+	n := len(workloads)
+	workloadsMu.Unlock()
+	if n > maxWorkloads {
+		t.Errorf("corpus cache holds %d sizes, bound %d", n, maxWorkloads)
+	}
+}

@@ -1,10 +1,7 @@
 package isa_test
 
-// Interpreter microbenchmarks comparing the two paths on the same
-// programs: fast (predecoded instruction cache, devirtualized window
-// access, batched cycle accounting) and slow (the reference Step path —
-// the original interpreter). fast/slow is the speedup recorded in
-// BENCH_interp.json.
+// Interpreter microbenchmarks: the fetch/decode/execute round trip of
+// CPU.Step on a tight loop and on a spell-checker-like kernel.
 
 import (
 	"testing"
@@ -74,14 +71,12 @@ hloop:
 	ret
 `
 
-// benchProgram runs src once per iteration on a fresh machine with the
-// chosen interpreter path; allocation cost is identical on both sides,
-// so the fast/slow ratio isolates the interpreter core. The
+// benchProgram runs src once per iteration on a fresh machine. The
 // runtime invariant audit — armed by TestMain for every test in this
 // binary, but off in production runs — is disabled for the measurement:
 // it re-verifies the whole window file inside every save and restore,
 // which would swamp the call-heavy workloads with debug-only cost.
-func benchProgram(b *testing.B, src string, windows int, fast bool) {
+func benchProgram(b *testing.B, src string, windows int) {
 	audit := core.InvariantChecksEnabled()
 	core.SetInvariantChecks(false)
 	defer core.SetInvariantChecks(audit)
@@ -89,7 +84,6 @@ func benchProgram(b *testing.B, src string, windows int, fast bool) {
 	var steps uint64
 	for i := 0; i < b.N; i++ {
 		m := isa.NewMachine(core.SchemeSP, windows)
-		m.SlowPath = !fast
 		p.Load(m.Mem)
 		// Seed the text area the spell kernel hashes.
 		for a := uint32(0x5000); a < 0x5000+400*8; a++ {
@@ -107,64 +101,13 @@ func benchProgram(b *testing.B, src string, windows int, fast bool) {
 
 // BenchmarkCPUStep measures the raw fetch/decode/execute round trip on
 // a tight arithmetic loop.
-func BenchmarkCPUStep(b *testing.B) {
-	b.Run("fast", func(b *testing.B) { benchProgram(b, stepLoopSrc, 8, true) })
-	b.Run("slow", func(b *testing.B) { benchProgram(b, stepLoopSrc, 8, false) })
-}
+func BenchmarkCPUStep(b *testing.B) { benchProgram(b, stepLoopSrc, 8) }
 
-// BenchmarkSpellWorkload measures the spell-checker-like kernel — the
-// headline before/after number for the fast interpreter core.
+// BenchmarkSpellWorkload measures the spell-checker-like kernel on an
+// 8-window file and on a 4-window file, where every hash call
+// overflows and every return underflows, so the window traps stay in
+// the profile.
 func BenchmarkSpellWorkload(b *testing.B) {
-	b.Run("fast", func(b *testing.B) { benchProgram(b, spellSrc, 8, true) })
-	b.Run("slow", func(b *testing.B) { benchProgram(b, spellSrc, 8, false) })
-}
-
-// storeFarSrc hammers stores at a data page far from the cached text;
-// the icache store watcher must reject every one of them on its bounds
-// compare. Before invalidate became slot-granular it rescanned cached
-// pages on such stores, so this is the regression guard for predecode
-// over-invalidation.
-const storeFarSrc = `
-start:
-	set 20000, %l0
-	set 0x8000, %l1
-loop:
-	st %l2, [%l1]
-	add %l2, 1, %l2
-	subcc %l0, 1, %l0
-	bne loop
-	ta 0
-`
-
-// storeTextPageSrc stores into the same page as the loop itself, but at
-// a word the loop never executes: slot-granular invalidation clears one
-// decode slot per store, while a page-granular scheme would force the
-// whole loop to re-decode every iteration.
-const storeTextPageSrc = `
-start:
-	set 20000, %l0
-	set 0x1800, %l1
-loop:
-	st %l2, [%l1]
-	add %l2, 1, %l2
-	subcc %l0, 1, %l0
-	bne loop
-	ta 0
-`
-
-// BenchmarkPredecodeInvalidation measures the store watcher on the fast
-// (predecode) path: "reject" is the common case of stores nowhere near
-// text, "textpage" the worst case of stores landing in a cached text
-// page without touching the running code.
-func BenchmarkPredecodeInvalidation(b *testing.B) {
-	b.Run("reject", func(b *testing.B) { benchProgram(b, storeFarSrc, 8, true) })
-	b.Run("textpage", func(b *testing.B) { benchProgram(b, storeTextPageSrc, 8, true) })
-}
-
-// BenchmarkSpellWorkloadSmallFile repeats the spell kernel on a 4-window
-// file, where every hash call overflows and every return underflows, so
-// the manager slow path (window traps) stays in the profile.
-func BenchmarkSpellWorkloadSmallFile(b *testing.B) {
-	b.Run("fast", func(b *testing.B) { benchProgram(b, spellSrc, 4, true) })
-	b.Run("slow", func(b *testing.B) { benchProgram(b, spellSrc, 4, false) })
+	b.Run("w8", func(b *testing.B) { benchProgram(b, spellSrc, 8) })
+	b.Run("w4", func(b *testing.B) { benchProgram(b, spellSrc, 4) })
 }

@@ -21,22 +21,8 @@ const MemCeiling uint32 = 0xf000000
 // CPU interprets the instruction subset on top of a window manager: all
 // register accesses go through the manager's current window, and save
 // and restore instructions invoke the manager, where the scheme's trap
-// handlers run.
-//
-// Execution has two paths with byte-identical observable behaviour
-// (registers, memory, console, cycle totals, counters, errors):
-//
-//   - Step is the reference slow path: full decode of the raw word,
-//     every register access through the Manager interface, every cycle
-//     charged directly to the counter. It is the semantic authority.
-//   - Run, by default, uses the fast path of fast.go: predecoded
-//     instructions, register access straight through the register
-//     file's cached current window (when the manager exposes its file),
-//     and batched cycle accounting.
-//     SetFastPath(false) makes Run loop over Step instead.
-//
-// The differential tests in fastpath_test.go pin the two paths to each
-// other on randomized, corpus and self-modifying programs.
+// handlers run. Step executes one instruction (full decode of the raw
+// word, every cycle charged directly to the counter); Run loops over it.
 type CPU struct {
 	Mgr core.Manager
 	Mem *mem.Memory
@@ -51,81 +37,36 @@ type CPU struct {
 
 	// Steps counts executed instructions (a runaway guard uses it).
 	Steps uint64
-
-	// Fast-path state: the predecoded instruction cache with its
-	// current-page memo.
-	fast       bool
-	icache     *icache
-	curPage    *icachePage
-	curPageNum uint32
-	scratch    Instr  // decode buffer for unaligned fetch addresses
-	pend       uint64 // batched cycles not yet flushed to the counter
-
-	// file is the register file of a manager that exposes one (NS, SNP
-	// and SP). The fast path reads and writes the running thread's
-	// current window through it, and guest faults record its CWP. It is
-	// nil for the Reference oracle and for any manager wrapping a
-	// scheme, which the fast path reaches through Mgr.Reg and SetReg.
-	file *regwin.File
-	// chaos, when non-nil, is polled once per fast-path instruction for
-	// the icache-flush perturbation point (SetChaos).
-	chaos *fault.Injector
 }
 
 type flags struct{ n, z, v, c bool }
 
 // NewCPU returns a processor executing on the given manager and memory.
-// A thread must be running on the manager before Step is called. The
-// fast execution path is enabled by default; SetFastPath(false) selects
-// the reference interpreter.
+// A thread must be running on the manager before Step is called.
 func NewCPU(mgr core.Manager, m *mem.Memory) *CPU {
-	c := &CPU{Mgr: mgr, Mem: m, fast: true, icache: newICache(m)}
-	if fr, ok := mgr.(interface{ File() *regwin.File }); ok {
-		c.file = fr.File()
-	}
-	return c
+	return &CPU{Mgr: mgr, Mem: m}
 }
 
-// SetChaos attaches a fault injector and arms the interpreter-level
-// perturbation point: dropping the whole predecoded instruction cache,
-// so the next fetch of every address re-decodes from memory. One CPU
-// owns the point per injector (Arm replaces the hook).
-func (c *CPU) SetChaos(inj *fault.Injector) {
-	c.chaos = inj
-	if inj == nil {
-		return
-	}
-	inj.Arm(fault.PointICacheFlush, func() {
-		c.icache.dropAll()
-		c.curPage = nil
-	})
-}
-
-// guestFault builds the typed fault both interpreter paths raise for
-// guest-triggerable conditions. The fast path constructs faults before
-// flushing its cycle batch, so the recorded cycle is Total()+pend —
-// flush-invariant, hence byte-identical between the two paths (the
-// differential tests compare rendered errors).
+// guestFault builds the typed fault the interpreter raises for
+// guest-triggerable conditions, stamped with the current PC, cycle
+// total and running thread, and with the CWP of a manager that exposes
+// its register file (NS, SNP and SP; not the Reference oracle).
 func (c *CPU) guestFault(k fault.Kind, format string, args ...interface{}) error {
 	f := &fault.GuestFault{
 		Kind:   k,
 		PC:     c.pc,
 		CWP:    -1,
-		Cycle:  c.Mgr.Cycles().Total() + c.pend,
+		Cycle:  c.Mgr.Cycles().Total(),
 		Detail: fmt.Sprintf(format, args...),
 	}
-	if c.file != nil {
-		f.CWP = c.file.CWP()
+	if fr, ok := c.Mgr.(interface{ File() *regwin.File }); ok {
+		f.CWP = fr.File().CWP()
 	}
 	if t := c.Mgr.Running(); t != nil {
 		f.Thread = t.Name
 	}
 	return f
 }
-
-// SetFastPath selects between the fast execution path (default) and the
-// reference Step loop for Run. Both produce identical machine state.
-func (c *CPU) SetFastPath(on bool) { c.fast = on }
 
 // PC returns the current program counter.
 func (c *CPU) PC() uint32 { return c.pc }
@@ -430,12 +371,8 @@ func (c *CPU) setFlagsSub(a, b, r uint32) {
 
 // Run executes until halt, yield, error or the step limit; limit 0 means
 // no limit. It returns whether the program yielded (false means halted)
-// and any execution error. By default it runs on the fast path (see
-// fast.go); SetFastPath(false) selects the reference Step loop.
+// and any execution error.
 func (c *CPU) Run(limit uint64) (yielded bool, err error) {
-	if c.fast {
-		return c.runFast(limit)
-	}
 	for !c.halted {
 		if limit > 0 && c.Steps >= limit {
 			return false, c.guestFault(fault.StepLimit, "step limit %d exceeded", limit)

@@ -13,11 +13,6 @@ import (
 type Machine struct {
 	Mgr core.Manager
 	Mem *mem.Memory
-
-	// SlowPath pins RunProgram to the reference interpreter instead of
-	// the fast path; the differential and parity tests use it to compare
-	// the two.
-	SlowPath bool
 }
 
 // NewMachine builds a machine with the given scheme and window count.
@@ -38,7 +33,6 @@ func (m *Machine) RunProgram(entry uint32, limit uint64) (*CPU, error) {
 	m.Mgr.Switch(t)
 	m.Mgr.SetReg(regwin.RegSP, guestStackTop)
 	cpu := NewCPU(m.Mgr, m.Mem)
-	cpu.SetFastPath(!m.SlowPath)
 	cpu.SetPC(entry)
 	for {
 		yielded, err := cpu.Run(limit)
@@ -58,19 +52,8 @@ func (m *Machine) RunProgram(entry uint32, limit uint64) (*CPU, error) {
 // trap hands the processor to the scheduler and the halt trap ends the
 // thread. Console output is appended to console when non-nil.
 func ThreadBody(mgr core.Manager, memory *mem.Memory, entry, sp uint32, limit uint64, console *[]byte) func(*sched.Env) {
-	return threadBody(mgr, memory, entry, sp, limit, console, true)
-}
-
-// ThreadBodySlow is ThreadBody pinned to the reference interpreter; the
-// differential tests run multi-threaded programs on both paths with it.
-func ThreadBodySlow(mgr core.Manager, memory *mem.Memory, entry, sp uint32, limit uint64, console *[]byte) func(*sched.Env) {
-	return threadBody(mgr, memory, entry, sp, limit, console, false)
-}
-
-func threadBody(mgr core.Manager, memory *mem.Memory, entry, sp uint32, limit uint64, console *[]byte, fast bool) func(*sched.Env) {
 	return func(e *sched.Env) {
 		cpu := NewCPU(mgr, memory)
-		cpu.SetFastPath(fast)
 		cpu.SetPC(entry)
 		mgr.SetReg(regwin.RegSP, sp)
 		for {

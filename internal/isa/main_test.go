@@ -8,8 +8,8 @@ import (
 )
 
 // TestMain arms the core invariant audit for every interpreter test:
-// all window motion driven by either interpreter path is re-verified
-// after each operation.
+// all window motion the interpreter drives is re-verified after each
+// operation.
 func TestMain(m *testing.M) {
 	core.SetInvariantChecks(true)
 	os.Exit(m.Run())

@@ -22,26 +22,7 @@ const (
 // Memory is a sparse, paged, big-endian byte-addressed memory. The zero
 // value is ready to use.
 type Memory struct {
-	pages    map[uint32]*[pageSize]byte
-	watchers []func(addr, n uint32)
-}
-
-// OnStore registers fn to be called after every store, with the address
-// and byte length of the stored range. The interpreter's predecoded
-// instruction cache uses this to invalidate decoded words when a
-// program writes into its own text segment; watchers fire
-// synchronously, before the store's caller regains control, so the
-// very next fetch sees the new word. Watchers must be cheap: they run
-// on the store hot path (they are expected to reject out-of-range
-// addresses in a compare or two).
-func (m *Memory) OnStore(fn func(addr, n uint32)) {
-	m.watchers = append(m.watchers, fn)
-}
-
-func (m *Memory) notifyStore(addr, n uint32) {
-	for _, fn := range m.watchers {
-		fn(addr, n)
-	}
+	pages map[uint32]*[pageSize]byte
 }
 
 // New returns an empty memory.
@@ -77,9 +58,6 @@ func (m *Memory) Load8(addr uint32) byte {
 // Store8 writes one byte at addr.
 func (m *Memory) Store8(addr uint32, v byte) {
 	m.page(addr)[addr&pageMask] = v
-	if m.watchers != nil {
-		m.notifyStore(addr, 1)
-	}
 }
 
 // Load32 reads a big-endian 32-bit word at addr. The address need not be
@@ -111,9 +89,6 @@ func (m *Memory) Store32(addr uint32, v uint32) {
 		p[o+1] = byte(v >> 16)
 		p[o+2] = byte(v >> 8)
 		p[o+3] = byte(v)
-		if m.watchers != nil {
-			m.notifyStore(addr, 4)
-		}
 		return
 	}
 	m.Store8(addr, byte(v>>24))
@@ -123,10 +98,9 @@ func (m *Memory) Store32(addr uint32, v uint32) {
 }
 
 // StoreFrame writes the 16 words of fr from addr on, exactly as 16
-// Store32 calls at addr, addr+4, ... would, and tells the store watchers
-// once about the whole 64-byte range. A frame inside one page (every
-// frame of a window save area) resolves the page once; a frame that
-// crosses a page boundary falls back to byte stores.
+// Store32 calls at addr, addr+4, ... would. A frame inside one page
+// (every frame of a window save area) resolves the page once; a frame
+// that crosses a page boundary falls back to byte stores.
 func (m *Memory) StoreFrame(addr uint32, fr *[16]uint32) {
 	if o := addr & pageMask; o <= pageSize-frameBytes {
 		b := (*[frameBytes]byte)(m.page(addr)[o:])
@@ -140,9 +114,6 @@ func (m *Memory) StoreFrame(addr uint32, fr *[16]uint32) {
 				m.page(a + k)[(a+k)&pageMask] = byte(v >> (24 - 8*k))
 			}
 		}
-	}
-	if m.watchers != nil {
-		m.notifyStore(addr, frameBytes)
 	}
 }
 

@@ -143,19 +143,6 @@ func TestLoadFrameUntouchedReadsZeros(t *testing.T) {
 	}
 }
 
-func TestStoreFrameWatcherSeesRange(t *testing.T) {
-	for _, addr := range frameAddrs {
-		m := New()
-		type call struct{ addr, n uint32 }
-		var calls []call
-		m.OnStore(func(a, n uint32) { calls = append(calls, call{a, n}) })
-		m.StoreFrame(addr, testFrame(3))
-		if len(calls) != 1 || calls[0] != (call{addr, 64}) {
-			t.Errorf("addr %#x: watcher saw %v, want one call {%#x 64}", addr, calls, addr)
-		}
-	}
-}
-
 // FuzzFrameParity checks StoreFrame and LoadFrame against 16 Store32
 // and Load32 calls at any address, including page-crossing and
 // misaligned frames and frames that wrap the 32-bit address space.

@@ -353,6 +353,12 @@ func (p *Pool) SubmitFrom(client string, spec JobSpec) (*Job, error) {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("simsvc: pool is shut down")
 	}
+	// Another submission of the spec may have queued it while the lock
+	// was dropped for the cache lookup.
+	if q, ok := p.inflight[hash]; ok {
+		p.mu.Unlock()
+		return q, nil
+	}
 	// Admission tiers, cheapest-to-most-specific: global queue bound,
 	// per-client fairness share, cost-aware estimate. Each rejection is
 	// a distinct 429 class so clients and dashboards can tell "the

@@ -229,6 +229,60 @@ func TestPoolCoalescesInflightDuplicates(t *testing.T) {
 	}
 }
 
+// TestConcurrentIdenticalSubmissionsShareOneJob submits one spec from
+// many goroutines at once, round after round, against a job body that
+// cannot finish before every submitter has returned: all of a round's
+// submitters must get the same job, so the spec runs once.
+func TestConcurrentIdenticalSubmissionsShareOneJob(t *testing.T) {
+	const submitters, rounds = 16, 1000
+	released := make([]chan struct{}, rounds)
+	for i := range released {
+		released[i] = make(chan struct{})
+	}
+	setHook(t, func(spec JobSpec) (*JobResult, error) {
+		<-released[spec.MaxCycles-1]
+		return &JobResult{}, nil
+	})
+	p := testPool(t, PoolConfig{Workers: 2})
+	duplicated := 0
+	for round := range released {
+		// A distinct cycle budget per round keeps the cache out of it.
+		spec := JobSpec{Experiment: ExperimentCell, Scheme: "NS", Windows: 4, Behavior: "high-fine",
+			MaxCycles: uint64(round + 1)}
+		jobs := make([]*Job, submitters)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				j, err := p.Submit(spec)
+				if err != nil {
+					t.Error(err)
+				}
+				jobs[i] = j
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(released[round])
+		distinct := map[*Job]bool{}
+		for _, j := range jobs {
+			if j != nil {
+				distinct[j] = true
+				<-j.Done()
+			}
+		}
+		if len(distinct) > 1 {
+			duplicated++
+		}
+	}
+	if duplicated > 0 {
+		t.Errorf("%d of %d rounds queued one spec as more than one job", duplicated, rounds)
+	}
+}
+
 func TestPoolTimeout(t *testing.T) {
 	setHook(t, func(JobSpec) (*JobResult, error) {
 		time.Sleep(2 * time.Second)
