@@ -93,6 +93,12 @@ type Result struct {
 type workload struct {
 	source, main, forbidden []byte
 	used                    uint64 // workloadTick at the last load
+
+	// schedules are the recorded FIFO schedules of this corpus
+	// (schedule.go), and scheduleBytes their packed size; both leave
+	// with the entry.
+	schedules     map[scheduleKey]*scheduleEntry
+	scheduleBytes int
 }
 
 // maxWorkloads bounds the corpus cache: clients of the service choose
@@ -105,6 +111,9 @@ var (
 	workloadsMu  sync.Mutex
 	workloads    = map[Sizes]*workload{}
 	workloadTick uint64
+	// scheduleBytes is the packed size of every schedule the cache
+	// keeps, at most maxScheduleBytes.
+	scheduleBytes int
 )
 
 func loadWorkload(sz Sizes) *workload {
@@ -121,12 +130,14 @@ func loadWorkload(sz Sizes) *workload {
 					lru, oldest = s, c.used
 				}
 			}
+			scheduleBytes -= workloads[lru].scheduleBytes
 			delete(workloads, lru)
 		}
 		w = &workload{
 			source:    corpus.ScaledDraft(sz.Draft),
 			main:      corpus.ScaledMainDict(sz.Dict),
 			forbidden: corpus.ScaledForbiddenDict(sz.Dict),
+			schedules: map[scheduleKey]*scheduleEntry{},
 		}
 		workloads[sz] = w
 	}
@@ -228,7 +239,20 @@ type SpellOpts struct {
 // RunSpellWith executes one spell-checker run with watchdog and chaos
 // control, returning the structured result or the failure (guest
 // fault, deadlock diagnostic, budget exhaustion, invalid stream size).
+// A FIFO run with none of the options set replays its behaviour's
+// recorded schedule onto its own manager (schedule.go); every other
+// run, and one whose schedule is not kept, runs live.
 func RunSpellWith(o SpellOpts) (Result, error) {
+	if replayable(o) {
+		if s := loadSchedule(o.Behavior, o.Sizes); s != nil {
+			return s.replay(o)
+		}
+	}
+	return runSpellLive(o)
+}
+
+// runSpellLive runs the whole guest on the cell's kernel and manager.
+func runSpellLive(o SpellOpts) (Result, error) {
 	w := loadWorkload(o.Sizes)
 	cfg := o.Config
 	mgr := core.New(o.Scheme, cfg)

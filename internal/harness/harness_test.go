@@ -39,23 +39,33 @@ func TestTable2MatchesPaperRanges(t *testing.T) {
 }
 
 // TestTable1SchemeIndependence pins the property the paper relies on to
-// present Table 1 once: suspension counts and save counts do not depend
-// on the scheme or the window count under FIFO scheduling.
+// present Table 1 once, and that recorded FIFO schedules rest on:
+// suspension counts, save counts and the output do not depend on the
+// scheme or the window count under FIFO scheduling. It compares live
+// runs; replayed cells would share one schedule and could not differ.
 func TestTable1SchemeIndependence(t *testing.T) {
-	b, _ := BehaviorByName("high-medium")
-	ref := CellSpec{Scheme: core.SchemeSP, Windows: 32, Policy: sched.FIFO, Behavior: b, Sizes: testSizes}.Run()
-	for _, s := range core.Schemes {
-		for _, n := range []int{5, 16} {
-			r := CellSpec{Scheme: s, Windows: n, Policy: sched.FIFO, Behavior: b, Sizes: testSizes}.Run()
-			if r.ThreadSuspensions != ref.ThreadSuspensions {
-				t.Errorf("%v windows=%d suspensions %v != reference %v",
-					s, n, r.ThreadSuspensions, ref.ThreadSuspensions)
+	for _, b := range Behaviors {
+		run := func(s core.Scheme, n int) Result {
+			r, err := runSpellLive(SpellOpts{Config: core.Config{Windows: n}, Scheme: s, Policy: sched.FIFO, Behavior: b, Sizes: testSizes})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if r.Counters.Saves != ref.Counters.Saves {
-				t.Errorf("%v windows=%d saves %d != reference %d", s, n, r.Counters.Saves, ref.Counters.Saves)
-			}
-			if r.Misspelled != ref.Misspelled {
-				t.Errorf("%v windows=%d reported %d misspellings, reference %d", s, n, r.Misspelled, ref.Misspelled)
+			return r
+		}
+		ref := run(core.SchemeSP, 32)
+		for _, s := range core.Schemes {
+			for _, n := range []int{5, 16} {
+				r := run(s, n)
+				if r.ThreadSuspensions != ref.ThreadSuspensions {
+					t.Errorf("%s: %v windows=%d suspensions %v != reference %v",
+						b.Name, s, n, r.ThreadSuspensions, ref.ThreadSuspensions)
+				}
+				if r.Counters.Saves != ref.Counters.Saves {
+					t.Errorf("%s: %v windows=%d saves %d != reference %d", b.Name, s, n, r.Counters.Saves, ref.Counters.Saves)
+				}
+				if r.Misspelled != ref.Misspelled {
+					t.Errorf("%s: %v windows=%d reported %d misspellings, reference %d", b.Name, s, n, r.Misspelled, ref.Misspelled)
+				}
 			}
 		}
 	}

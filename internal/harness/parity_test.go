@@ -161,14 +161,15 @@ func TestTracerDecoratorParity(t *testing.T) {
 
 // BenchmarkSpellCellUntraced is the baseline for the hook overhead: no
 // tracer attached, so every instrumented operation takes the nil-hook
-// fast path.
+// fast path. Both benchmarks run the live path: an untraced FIFO cell
+// would otherwise replay its recorded schedule.
 func BenchmarkSpellCellUntraced(b *testing.B) {
 	benchWithoutAudit(b)
 	bh, _ := BehaviorByName("high-fine")
 	sz := Sizes{Draft: 2000, Dict: 3001}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunSpellWith(SpellOpts{
+		if _, err := runSpellLive(SpellOpts{
 			Config: core.Config{Windows: 8}, Scheme: core.SchemeSP,
 			Policy: sched.FIFO, Behavior: bh, Sizes: sz,
 		}); err != nil {
@@ -186,7 +187,7 @@ func BenchmarkSpellCellTraced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := obs.NewTracer(0)
-		if _, err := RunSpellWith(SpellOpts{
+		if _, err := runSpellLive(SpellOpts{
 			Config: core.Config{Windows: 8}, Scheme: core.SchemeSP,
 			Policy: sched.FIFO, Behavior: bh, Sizes: sz,
 			OnManager: func(m core.Manager) { tr.Attach(m) },

@@ -99,7 +99,14 @@ func TestWorkPin(t *testing.T) {
 	}
 	defer core.SetInvariantChecks(core.InvariantChecksEnabled())
 	core.SetInvariantChecks(false)
-	loadWorkload(QuickSizes) // generate the corpus outside the measurement
+	// Generate the corpus and record the FIFO schedules outside the
+	// measurement, so the allocations do not depend on whether an
+	// earlier test in the binary already recorded them.
+	for _, b := range Behaviors {
+		if loadSchedule(b, QuickSizes) == nil {
+			t.Fatalf("%s: schedule not kept, so its cells would run live", b.Name)
+		}
+	}
 
 	got := map[string]workPin{}
 	for _, w := range pinWorkloads {
