@@ -239,9 +239,10 @@ type SpellOpts struct {
 // RunSpellWith executes one spell-checker run with watchdog and chaos
 // control, returning the structured result or the failure (guest
 // fault, deadlock diagnostic, budget exhaustion, invalid stream size).
-// A FIFO run with none of the options set replays its behaviour's
-// recorded schedule onto its own manager (schedule.go); every other
-// run, and one whose schedule is not kept, runs live.
+// A FIFO run, or a working-set run on NS, with none of the options set
+// replays its behaviour's recorded schedule onto its own manager
+// (schedule.go); every other run, and one whose schedule is not kept,
+// runs live.
 func RunSpellWith(o SpellOpts) (Result, error) {
 	if replayable(o) {
 		if s := loadSchedule(o.Behavior, o.Sizes); s != nil {

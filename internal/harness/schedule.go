@@ -19,7 +19,8 @@ import (
 // charges no cycles, and replayed onto each cell's own manager; the
 // replay makes the same manager calls, at the same guest clock, as the
 // live run, so every simulated number is identical (DESIGN §9,
-// "Recorded FIFO schedules").
+// "Recorded FIFO schedules"). Working-set scheduling on NS makes FIFO's
+// decisions, so its cells replay the same schedule.
 
 // An op is one recorded window operation packed into 32 bits: the
 // event kind in the top byte, the acting thread (the target of a
@@ -67,9 +68,13 @@ var recordings atomic.Int64
 // replayable reports whether o leaves the guest's schedule independent
 // of the manager and unobserved: FIFO with no quantum or budget (both
 // read the clock the manager charges), no chaos, no hooks, and a
-// private save-area allocator.
+// private save-area allocator. Working-set scheduling on NS qualifies
+// too: NS keeps a thread's windows only while it runs, and a thread
+// that blocks is switched away from before anyone can wake it, so Wake
+// never finds it Resident and queues it at the back, as FIFO does.
 func replayable(o SpellOpts) bool {
-	return o.Policy == sched.FIFO && o.Quantum == 0 && o.MaxCycles == 0 &&
+	fifo := o.Policy == sched.FIFO || o.Policy == sched.WorkingSet && o.Scheme == core.SchemeNS
+	return fifo && o.Quantum == 0 && o.MaxCycles == 0 &&
 		o.Chaos == nil && o.OnManager == nil && o.OnKernel == nil && o.Config.Stacks == nil
 }
 

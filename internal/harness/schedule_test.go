@@ -42,11 +42,12 @@ func checkScheduleBytes(t *testing.T) {
 }
 
 // TestReplayMatchesLive pins the replay's exactness: for every
-// behaviour, scheme, window count and machine configuration, the
-// replayed cell's whole Result — cycles, every counter and the
-// switch-cost distribution, per-thread suspensions and the output
-// checksum — equals the live run's, with the audit armed (TestMain).
-// An invalid behaviour fails with the same error on both paths.
+// behaviour, scheme, window count and machine configuration, under FIFO
+// and, on NS, under the working-set policy, the replayed cell's whole
+// Result — cycles, every counter and the switch-cost distribution,
+// per-thread suspensions and the output checksum — equals the live
+// run's, with the audit armed (TestMain). An invalid behaviour fails
+// with the same error on both paths.
 func TestReplayMatchesLive(t *testing.T) {
 	configs := []struct {
 		name string
@@ -57,14 +58,21 @@ func TestReplayMatchesLive(t *testing.T) {
 		{"hw", core.Config{HWAssist: true}},
 		{"transfer2", core.Config{TrapTransfer: 2}},
 	}
+	cells := []struct {
+		scheme core.Scheme
+		policy sched.Policy
+	}{
+		{core.SchemeNS, sched.FIFO}, {core.SchemeSNP, sched.FIFO}, {core.SchemeSP, sched.FIFO},
+		{core.SchemeNS, sched.WorkingSet},
+	}
 	for _, b := range Behaviors {
 		if loadSchedule(b, replaySizes) == nil {
 			t.Fatalf("%s: schedule not kept, so its cells would not replay", b.Name)
 		}
-		for _, s := range core.Schemes {
+		for _, sp := range cells {
 			for _, n := range []int{4, 5, 8, 32} {
 				for _, c := range configs {
-					o := SpellOpts{Config: c.cfg, Scheme: s, Policy: sched.FIFO, Behavior: b, Sizes: replaySizes}
+					o := SpellOpts{Config: c.cfg, Scheme: sp.scheme, Policy: sp.policy, Behavior: b, Sizes: replaySizes}
 					o.Config.Windows = n
 					replayed, err := RunSpellWith(o)
 					if err != nil {
@@ -75,8 +83,8 @@ func TestReplayMatchesLive(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(replayed, live) {
-						t.Fatalf("%s/%v/w%d/%s: replay differs from the live run\n replay %+v\n live   %+v",
-							b.Name, s, n, c.name, replayed, live)
+						t.Fatalf("%s/%v/%v/w%d/%s: replay differs from the live run\n replay %+v\n live   %+v",
+							b.Name, sp.scheme, sp.policy, n, c.name, replayed, live)
 					}
 				}
 			}
@@ -89,6 +97,55 @@ func TestReplayMatchesLive(t *testing.T) {
 	_, liveErr := runSpellLive(o)
 	if replayErr == nil || fmt.Sprint(replayErr) != fmt.Sprint(liveErr) {
 		t.Fatalf("M=0: replay error %v, live error %v", replayErr, liveErr)
+	}
+}
+
+// TestWorkingSetOnNSIsFIFO keeps the premise of the NS working-set
+// replay checked on live runs: NS flushes a thread's windows when it is
+// switched away from, so the working-set policy never finds a woken
+// thread resident and makes FIFO's decisions. For every behaviour and
+// window count the two live runs agree in every field but Policy.
+func TestWorkingSetOnNSIsFIFO(t *testing.T) {
+	for _, b := range Behaviors {
+		for _, n := range []int{4, 5, 8, 32} {
+			run := func(p sched.Policy) Result {
+				r, err := runSpellLive(SpellOpts{Config: core.Config{Windows: n}, Scheme: core.SchemeNS, Policy: p, Behavior: b, Sizes: replaySizes})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			ws, fifo := run(sched.WorkingSet), run(sched.FIFO)
+			ws.Policy = fifo.Policy
+			if !reflect.DeepEqual(ws, fifo) {
+				t.Errorf("%s/w%d: NS working-set run differs from FIFO\n ws   %+v\n fifo %+v", b.Name, n, ws, fifo)
+			}
+		}
+	}
+}
+
+// TestReplayablePolicies pins which policies replay on which scheme:
+// FIFO on every scheme and working-set scheduling only on NS. On SNP
+// and SP a woken thread's windows may still be resident, so the
+// working-set policy reads the manager and those cells run live, as
+// every priority cell does.
+func TestReplayablePolicies(t *testing.T) {
+	want := map[sched.Policy]map[core.Scheme]bool{
+		sched.FIFO:       {core.SchemeNS: true, core.SchemeSNP: true, core.SchemeSP: true},
+		sched.WorkingSet: {core.SchemeNS: true, core.SchemeSNP: false, core.SchemeSP: false},
+		sched.Priority:   {core.SchemeNS: false, core.SchemeSNP: false, core.SchemeSP: false},
+	}
+	for _, p := range sched.Policies {
+		for _, s := range core.Schemes {
+			o := SpellOpts{Config: core.Config{Windows: 8}, Scheme: s, Policy: p, Behavior: Behaviors[0], Sizes: replaySizes}
+			if got := replayable(o); got != want[p][s] {
+				t.Errorf("%v/%v: replayable %v, want %v", p, s, got, want[p][s])
+			}
+			o.Quantum = 100
+			if replayable(o) {
+				t.Errorf("%v/%v with a quantum is replayable", p, s)
+			}
+		}
 	}
 }
 
@@ -191,4 +248,30 @@ func TestScheduleStoreBounded(t *testing.T) {
 		t.Fatal("no schedule kept after the stand-in entry was evicted")
 	}
 	checkScheduleBytes(t)
+}
+
+// BenchmarkSpellCellReplayed measures one replayed cell per scheme: a
+// high-fine cell at QuickSizes and 8 windows, its schedule recorded
+// before the timer starts, with the audit off. Besides ns/op it reports
+// the cost of one replayed op (a window operation or a work-only gap).
+func BenchmarkSpellCellReplayed(b *testing.B) {
+	benchWithoutAudit(b)
+	bh, _ := BehaviorByName("high-fine")
+	s := loadSchedule(bh, QuickSizes)
+	if s == nil {
+		b.Fatal("schedule not kept, so the cell would run live")
+	}
+	for _, scheme := range core.Schemes {
+		b.Run(scheme.String(), func(b *testing.B) {
+			o := SpellOpts{Config: core.Config{Windows: 8}, Scheme: scheme, Policy: sched.FIFO, Behavior: bh, Sizes: QuickSizes}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunSpellWith(o); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(s.ops)), "ns/replayed-op")
+		})
+	}
 }

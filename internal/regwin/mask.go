@@ -43,25 +43,21 @@ func MaskAll(n int) Mask {
 	return m
 }
 
-// maskRange returns the mask with bits lo through hi set, both
-// inclusive, built a word at a time; it is empty when lo > hi. Both
-// must lie in [0, MaxWindows).
-func maskRange(lo, hi int) Mask {
-	var m Mask
-	if lo > hi {
-		return m
+// rangeWord returns word i of the mask with bits lo through hi set,
+// both inclusive: zero when lo > hi or the range misses the word.
+func rangeWord(i, lo, hi int) uint64 {
+	lo, hi = lo-i<<6, hi-i<<6
+	if lo > hi || hi < 0 || lo > 63 {
+		return 0
 	}
-	for i := lo >> 6; i <= hi>>6; i++ {
-		w := ^uint64(0)
-		if i == lo>>6 {
-			w <<= uint(lo & 63)
-		}
-		if i == hi>>6 {
-			w &= ^uint64(0) >> uint(63-hi&63)
-		}
-		m[i] = w
+	w := ^uint64(0)
+	if lo > 0 {
+		w <<= uint(lo)
 	}
-	return m
+	if hi < 63 {
+		w &= ^uint64(0) >> uint(63-hi)
+	}
+	return w
 }
 
 // Bit reports whether bit i is set. Out-of-range bits read as clear.

@@ -107,27 +107,38 @@ func (f *File) WIM() Mask { return f.wim }
 
 // SetWIM replaces the whole window invalid mask; bits at or above the
 // window count are discarded.
-func (f *File) SetWIM(m Mask) { f.wim = m.And(MaskAll(f.n)) }
+func (f *File) SetWIM(m Mask) {
+	var wim Mask
+	for i := 0; i < f.words(); i++ {
+		wim[i] = m[i] & rangeWord(i, 0, f.n-1)
+	}
+	f.wim = wim
+}
 
 // SetValidRange sets the whole WIM at once: the windows of the cyclic
 // range from lo up to hi (lo, lo+1, ..., wrapping past n-1 to 0) are
 // valid and every other window is invalid. lo == hi leaves one window
 // valid; lo one past hi leaves all n valid. The mask is built a word at
-// a time, with no per-window loop.
+// a time over the file's words only, with no per-window loop.
 func (f *File) SetValidRange(lo, hi int) {
 	lo, hi = f.norm(lo), f.norm(hi)
+	// The invalid windows run cyclically from hi+1 to lo-1: the gap
+	// between the ends when the valid range wraps, else windows hi+1
+	// to n-1 and 0 to lo-1.
+	top, bottom := f.n-1, lo-1
 	if lo > hi {
-		// The valid range wraps, so the invalid windows are the gap
-		// between its ends.
-		f.wim = maskRange(hi+1, lo-1)
-		return
+		top, bottom = lo-1, -1
 	}
-	all, valid := MaskAll(f.n), maskRange(lo, hi)
-	for i := range all {
-		all[i] &^= valid[i]
+	var wim Mask
+	for i := 0; i < f.words(); i++ {
+		wim[i] = rangeWord(i, hi+1, top) | rangeWord(i, 0, bottom)
 	}
-	f.wim = all
+	f.wim = wim
 }
+
+// words reports how many words of a Mask the file's windows occupy; the
+// WIM's higher words stay zero.
+func (f *File) words() int { return (f.n + 63) >> 6 }
 
 // Invalid reports whether window w is marked in the WIM.
 func (f *File) Invalid(w int) bool { return f.wim.Bit(f.norm(w)) }

@@ -3,28 +3,25 @@ package stats
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"sort"
 )
 
 // Distribution records an exact histogram of small-integer observations
 // (context-switch costs take only a handful of distinct values), so
-// worst-case and quantile figures are exact. The zero value is ready to
-// use.
+// worst-case and quantile figures are exact. The distinct values are
+// kept ascending, with their counts in a parallel slice, so recording a
+// sample is a short search and no reader sorts. The zero value is ready
+// to use.
 type Distribution struct {
-	counts map[uint64]uint64
+	values []uint64
+	counts []uint64
 	n      uint64
 	sum    uint64
 }
 
 // Observe adds one sample.
-func (d *Distribution) Observe(v uint64) {
-	if d.counts == nil {
-		d.counts = make(map[uint64]uint64)
-	}
-	d.counts[v]++
-	d.n++
-	d.sum += v
-}
+func (d *Distribution) Observe(v uint64) { d.ObserveN(v, 1) }
 
 // ObserveN adds count identical samples of value v in one step — how a
 // pre-bucketed histogram (the sharded job-latency shards) is rebuilt
@@ -33,12 +30,19 @@ func (d *Distribution) ObserveN(v, count uint64) {
 	if count == 0 {
 		return
 	}
-	if d.counts == nil {
-		d.counts = make(map[uint64]uint64)
-	}
-	d.counts[v] += count
+	d.add(v, count)
 	d.n += count
 	d.sum += v * count
+}
+
+// add adds count to value v's bucket, inserting the bucket in order.
+func (d *Distribution) add(v, count uint64) {
+	i, found := slices.BinarySearch(d.values, v)
+	if !found {
+		d.values = slices.Insert(d.values, i, v)
+		d.counts = slices.Insert(d.counts, i, 0)
+	}
+	d.counts[i] += count
 }
 
 // N reports the number of samples.
@@ -54,25 +58,18 @@ func (d *Distribution) Mean() float64 {
 
 // Max reports the largest observation (0 with no samples).
 func (d *Distribution) Max() uint64 {
-	var max uint64
-	for v := range d.counts {
-		if v > max {
-			max = v
-		}
+	if len(d.values) == 0 {
+		return 0
 	}
-	return max
+	return d.values[len(d.values)-1]
 }
 
 // Min reports the smallest observation (0 with no samples).
 func (d *Distribution) Min() uint64 {
-	first := true
-	var min uint64
-	for v := range d.counts {
-		if first || v < min {
-			min, first = v, false
-		}
+	if len(d.values) == 0 {
+		return 0
 	}
-	return min
+	return d.values[0]
 }
 
 // Quantile reports the smallest value v such that at least q (0..1] of
@@ -81,11 +78,6 @@ func (d *Distribution) Quantile(q float64) uint64 {
 	if d.n == 0 {
 		return 0
 	}
-	values := make([]uint64, 0, len(d.counts))
-	for v := range d.counts {
-		values = append(values, v)
-	}
-	sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
 	// "At least q of the samples" needs ceil(q*n) samples: with 3
 	// samples, Quantile(0.5) must cover 2 of them, not the truncated 1.
 	need := uint64(math.Ceil(q * float64(d.n)))
@@ -96,27 +88,19 @@ func (d *Distribution) Quantile(q float64) uint64 {
 		need = d.n
 	}
 	var seen uint64
-	for _, v := range values {
-		seen += d.counts[v]
+	for i, c := range d.counts {
+		seen += c
 		if seen >= need {
-			return v
+			return d.values[i]
 		}
 	}
-	return values[len(values)-1]
+	return d.Max()
 }
 
 // Values returns the distinct observations in ascending order with
 // their counts.
 func (d *Distribution) Values() (values []uint64, counts []uint64) {
-	for v := range d.counts {
-		values = append(values, v)
-	}
-	sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
-	counts = make([]uint64, len(values))
-	for i, v := range values {
-		counts[i] = d.counts[v]
-	}
-	return values, counts
+	return slices.Clone(d.values), slices.Clone(d.counts)
 }
 
 // Merge adds every sample of o into d.
@@ -124,11 +108,9 @@ func (d *Distribution) Merge(o *Distribution) {
 	if o == nil || o.n == 0 {
 		return
 	}
-	if d.counts == nil {
-		d.counts = make(map[uint64]uint64, len(o.counts))
-	}
-	for v, c := range o.counts {
-		d.counts[v] += c
+	// A self-merge finds every value, so each bucket doubles in place.
+	for i, v := range o.values {
+		d.add(v, o.counts[i])
 	}
 	d.n += o.n
 	d.sum += o.sum
@@ -136,14 +118,7 @@ func (d *Distribution) Merge(o *Distribution) {
 
 // Clone returns an independent copy of d.
 func (d *Distribution) Clone() Distribution {
-	out := Distribution{n: d.n, sum: d.sum}
-	if d.counts != nil {
-		out.counts = make(map[uint64]uint64, len(d.counts))
-		for v, c := range d.counts {
-			out.counts[v] = c
-		}
-	}
-	return out
+	return Distribution{values: slices.Clone(d.values), counts: slices.Clone(d.counts), n: d.n, sum: d.sum}
 }
 
 // distributionJSON is the wire form of a Distribution: the distinct
@@ -158,8 +133,7 @@ type distributionJSON struct {
 // Without it a Distribution (all fields unexported) would encode as {}
 // and per-job counters would silently lose the switch-cost histogram.
 func (d Distribution) MarshalJSON() ([]byte, error) {
-	values, counts := d.Values()
-	return json.Marshal(distributionJSON{Values: values, Counts: counts})
+	return json.Marshal(distributionJSON{Values: d.values, Counts: d.counts})
 }
 
 // UnmarshalJSON rebuilds the histogram from its wire form.
@@ -170,16 +144,9 @@ func (d *Distribution) UnmarshalJSON(data []byte) error {
 	}
 	*d = Distribution{}
 	for i, v := range w.Values {
-		if i >= len(w.Counts) || w.Counts[i] == 0 {
-			continue
+		if i < len(w.Counts) {
+			d.ObserveN(v, w.Counts[i])
 		}
-		if d.counts == nil {
-			d.counts = make(map[uint64]uint64, len(w.Values))
-		}
-		c := w.Counts[i]
-		d.counts[v] += c
-		d.n += c
-		d.sum += v * c
 	}
 	return nil
 }

@@ -63,7 +63,7 @@ func TestMergeOverlappingBuckets(t *testing.T) {
 // TestMergeIntoEmptyAndSelf pins the edge cases: merging into a zero
 // distribution copies everything, merging an empty one changes nothing,
 // and self-merge doubles every bucket without corrupting the histogram
-// (the receiver and argument share one counts map there).
+// (the receiver and argument are one histogram there).
 func TestMergeIntoEmptyAndSelf(t *testing.T) {
 	var src Distribution
 	for _, v := range []uint64{1, 1, 7} {
