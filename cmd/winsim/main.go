@@ -56,7 +56,7 @@ func main() {
 	checkRuns := flag.Int("checkruns", 8, "with -check: seeded random sequences per configuration variant")
 	checkLen := flag.Int("checklen", 400, "with -check: length of each random sequence")
 	checkSeed := flag.Uint64("checkseed", 1, "with -check: base seed for the random sequences")
-	policyFlag := flag.String("policy", "", "override the scheduling policy of every sweep cell: FIFO, WS or PRIO (default: each experiment's own)")
+	policyFlag := flag.String("policy", "", "override the scheduling policy of every sweep cell: FIFO or WS (default: each experiment's own)")
 	quantum := flag.Uint64("quantum", 0, "preemptive time-slice in cycles applied to every sweep cell (0 = the paper's non-preemptive scheduling)")
 	flag.Parse()
 

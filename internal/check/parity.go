@@ -118,11 +118,7 @@ func runParityCell(s core.Scheme, p sched.Policy, cfg ParityConfig, threads int,
 	if migrate > 0 {
 		k.SetMigrateEvery(migrate)
 	}
-	// Spread priorities so the PRIO policy actually reorders threads.
 	result := workload.Chain(k, threads, cfg.Depth, cfg.Items)
-	for i, t := range k.Threads() {
-		t.SetPriority(i % sched.PriorityLevels)
-	}
 	if err := k.Run(); err != nil {
 		return 0, err
 	}

@@ -347,15 +347,6 @@ func (m *machine) region(a, b int, fn func(w int)) {
 	}
 }
 
-// residentCount reports how many live windows of t are resident
-// (between its bottom and its current window, inclusive).
-func (m *machine) residentCount(t *Thread) int {
-	if !t.HasWindows() {
-		return 0
-	}
-	return m.file.Distance(t.bottom, t.cwp) + 1
-}
-
 // freeDeadAbove releases the thread's dead windows (slots above its
 // current window up to its high-water slot) and resets high to the
 // current window. This is pure bookkeeping — the hardware analogue is

@@ -94,32 +94,23 @@ func (m *machine) snapshot(scheme Scheme, reserved int) Snapshot {
 	return snap
 }
 
-// ResidentLive reports how many live windows (bottom..CWP) of thread t
-// are resident; dead windows above the CWP are excluded. The checker
-// uses this to map resident slots onto oracle frame depths.
-func (m *machine) ResidentLive(t *Thread) int {
+// LiveSlots returns the slots holding thread t's live frames, oldest
+// first (stack-bottom up to its CWP); nil when the thread is windowless.
+// The checker uses it to map resident slots onto oracle frame depths.
+// The walk takes Distance(bottom, CWP)+1 steps, so a corrupt region
+// cannot make it loop forever.
+func (m *machine) LiveSlots(t *Thread) []int {
 	if !t.HasWindows() {
-		return 0
+		return nil
 	}
 	cwp := t.cwp
 	if t == m.running {
 		cwp = m.file.CWP()
 	}
-	return m.file.Distance(t.bottom, cwp) + 1
-}
-
-// LiveSlots returns the slots holding thread t's live frames, oldest
-// first (stack-bottom up to its CWP); nil when the thread is windowless.
-func (m *machine) LiveSlots(t *Thread) []int {
-	n := m.ResidentLive(t)
-	if n == 0 {
-		return nil
-	}
+	n := m.file.Distance(t.bottom, cwp) + 1
 	slots := make([]int, 0, n)
-	w := t.bottom
-	for i := 0; i < n; i++ {
+	for w := t.bottom; len(slots) < n; w = m.file.Above(w) {
 		slots = append(slots, w)
-		w = m.file.Above(w)
 	}
 	return slots
 }

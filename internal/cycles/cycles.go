@@ -171,32 +171,13 @@ const (
 	InstrDiv = 12
 )
 
-// Counter accumulates simulated cycles. Measurement can be paused, which
-// models the paper's emulator stopping its cycle counter while emulating
-// window instructions at varying window counts (Section 6.1).
+// Counter accumulates simulated cycles.
 type Counter struct {
-	total  uint64
-	paused bool
+	total uint64
 }
 
-// Add charges n cycles unless the counter is paused.
-func (c *Counter) Add(n uint64) {
-	if !c.paused {
-		c.total += n
-	}
-}
+// Add charges n cycles.
+func (c *Counter) Add(n uint64) { c.total += n }
 
 // Total reports the cycles accumulated so far.
 func (c *Counter) Total() uint64 { return c.total }
-
-// Reset zeroes the counter and resumes measurement.
-func (c *Counter) Reset() { c.total = 0; c.paused = false }
-
-// Pause stops accumulation until Resume is called.
-func (c *Counter) Pause() { c.paused = true }
-
-// Resume re-enables accumulation.
-func (c *Counter) Resume() { c.paused = false }
-
-// Paused reports whether the counter is currently paused.
-func (c *Counter) Paused() bool { return c.paused }

@@ -55,22 +55,3 @@ func TestInPlaceUnderflowCost(t *testing.T) {
 		t.Errorf("in-place premium = %d, want %d", diff, InRegisterCopy+RestoreEmulation)
 	}
 }
-
-func TestCounterPauseResume(t *testing.T) {
-	var c Counter
-	c.Add(10)
-	c.Pause()
-	c.Add(100)
-	if !c.Paused() {
-		t.Error("counter should report paused")
-	}
-	c.Resume()
-	c.Add(5)
-	if got := c.Total(); got != 15 {
-		t.Errorf("total = %d, want 15", got)
-	}
-	c.Reset()
-	if c.Total() != 0 || c.Paused() {
-		t.Error("Reset should zero and resume")
-	}
-}

@@ -127,13 +127,11 @@ func TestWorkingSetOnNSIsFIFO(t *testing.T) {
 // TestReplayablePolicies pins which policies replay on which scheme:
 // FIFO on every scheme and working-set scheduling only on NS. On SNP
 // and SP a woken thread's windows may still be resident, so the
-// working-set policy reads the manager and those cells run live, as
-// every priority cell does.
+// working-set policy reads the manager and those cells run live.
 func TestReplayablePolicies(t *testing.T) {
 	want := map[sched.Policy]map[core.Scheme]bool{
 		sched.FIFO:       {core.SchemeNS: true, core.SchemeSNP: true, core.SchemeSP: true},
 		sched.WorkingSet: {core.SchemeNS: true, core.SchemeSNP: false, core.SchemeSP: false},
-		sched.Priority:   {core.SchemeNS: false, core.SchemeSNP: false, core.SchemeSP: false},
 	}
 	for _, p := range sched.Policies {
 		for _, s := range core.Schemes {

@@ -1,18 +1,12 @@
 package sched
 
-// This file implements the ready structure: a growable ring-buffer
-// deque per priority level. The previous implementation was a plain
-// slice, which made two hot paths pathological at T3-scale thread
-// counts: Wake's working-set front-enqueue allocated a fresh slice per
-// wake (append([]*TCB{t}, ready...)), and pop's stale-resident
-// demotion shifted the whole queue (copy(ready, ready[1:])) once per
-// demoted head — O(n²) per dispatch. Both are O(1) on the deque, with
-// no steady-state allocation.
-
-// PriorityLevels is the number of distinct thread priorities the
-// Priority policy distinguishes; priorities are clamped to
-// [0, PriorityLevels-1], higher numbers dispatched first.
-const PriorityLevels = 8
+// This file implements the ready queue: a growable ring-buffer deque.
+// The previous implementation was a plain slice, which made two hot
+// paths pathological at T3-scale thread counts: Wake's working-set
+// front-enqueue allocated a fresh slice per wake (append([]*TCB{t},
+// ready...)), and pop's stale-resident demotion shifted the whole queue
+// (copy(ready, ready[1:])) once per demoted head — O(n²) per dispatch.
+// Both are O(1) on the deque, with no steady-state allocation.
 
 // tcbRing is a growable ring buffer of TCBs: O(1) push/pop at both
 // ends, amortised allocation-free once warm.
@@ -20,6 +14,10 @@ type tcbRing struct {
 	buf  []*TCB
 	head int // index of the front element
 	n    int
+	// moves counts single-element stores performed by push and pop
+	// operations. Regression tests pin the demotion and front-enqueue
+	// paths to O(1) moves; the old slice implementation cost O(n) here.
+	moves uint64
 }
 
 func (r *tcbRing) len() int { return r.n }
@@ -46,6 +44,7 @@ func (r *tcbRing) pushBack(t *TCB) {
 	r.grow()
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = t
 	r.n++
+	r.moves++
 }
 
 func (r *tcbRing) pushFront(t *TCB) {
@@ -53,6 +52,7 @@ func (r *tcbRing) pushFront(t *TCB) {
 	r.head = (r.head - 1) & (len(r.buf) - 1)
 	r.buf[r.head] = t
 	r.n++
+	r.moves++
 }
 
 func (r *tcbRing) popFront() *TCB {
@@ -63,6 +63,7 @@ func (r *tcbRing) popFront() *TCB {
 	r.buf[r.head] = nil // release the reference for GC
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
+	r.moves++
 	return t
 }
 
@@ -71,53 +72,4 @@ func (r *tcbRing) peekFront() *TCB {
 		return nil
 	}
 	return r.buf[r.head]
-}
-
-// readyQueue is the kernel's ready structure: one deque per priority
-// level. The FIFO and WorkingSet policies use only level 0, so their
-// behaviour is exactly the historical single queue.
-type readyQueue struct {
-	levels [PriorityLevels]tcbRing
-	n      int
-	// moves counts single-element stores performed by push and pop
-	// operations. Regression tests pin the demotion and front-enqueue
-	// paths to O(1) moves; the old slice implementation cost O(n) here.
-	moves uint64
-}
-
-func (q *readyQueue) len() int { return q.n }
-
-// top returns the highest non-empty priority level, or -1 when empty.
-func (q *readyQueue) top() int {
-	for l := PriorityLevels - 1; l >= 0; l-- {
-		if q.levels[l].len() > 0 {
-			return l
-		}
-	}
-	return -1
-}
-
-func (q *readyQueue) pushBack(level int, t *TCB) {
-	q.levels[level].pushBack(t)
-	q.n++
-	q.moves++
-}
-
-func (q *readyQueue) pushFront(level int, t *TCB) {
-	q.levels[level].pushFront(t)
-	q.n++
-	q.moves++
-}
-
-func (q *readyQueue) popFront(level int) *TCB {
-	t := q.levels[level].popFront()
-	if t != nil {
-		q.n--
-		q.moves++
-	}
-	return t
-}
-
-func (q *readyQueue) peekFront(level int) *TCB {
-	return q.levels[level].peekFront()
 }

@@ -6,12 +6,10 @@
 // primitives used by the stream package. All window motion is
 // delegated to a core.Manager, so the same workload runs unchanged
 // under the NS, SNP and SP schemes. Beyond the paper, the kernel also
-// offers priority scheduling with preemption (Policy Priority),
-// quantum-based time-slicing (SetQuantum), and multi-core operation
-// with deterministic thread migration (NewMultiKernel,
-// SetMigrateEvery) for T3-scale configurations; all of these default
-// off, leaving the paper's non-preemptive single-core behaviour
-// byte-exact.
+// offers quantum-based time-slicing (SetQuantum) and multi-core
+// operation with deterministic thread migration (NewMultiKernel,
+// SetMigrateEvery) for T3-scale configurations; both default off,
+// leaving the paper's non-preemptive single-core behaviour byte-exact.
 //
 // Each guest thread is an iter.Pull coroutine, and exactly one of them
 // holds the processor at any time, so execution is fully deterministic.
@@ -64,37 +62,28 @@ const (
 	// basic scheduler remains FIFO; selection happens only at wake-up,
 	// so no overhead is added to context switching.
 	WorkingSet
-	// Priority dispatches the highest-priority ready thread first
-	// (FIFO within a level; see TCB.SetPriority), and preempts the
-	// running thread at its next safe point whenever a strictly
-	// higher-priority thread becomes ready — even without a quantum.
-	// An extension beyond the paper, for T3-scale schedules.
-	Priority
 )
 
 // Policies lists every scheduling policy.
-var Policies = []Policy{FIFO, WorkingSet, Priority}
+var Policies = []Policy{FIFO, WorkingSet}
 
 // String returns the policy name.
 func (p Policy) String() string {
-	switch p {
-	case WorkingSet:
+	if p == WorkingSet {
 		return "WS"
-	case Priority:
-		return "PRIO"
 	}
 	return "FIFO"
 }
 
 // ParsePolicy maps a policy name (as produced by String) back to the
-// policy; it accepts FIFO, WS and PRIO.
+// policy; it accepts FIFO and WS.
 func ParsePolicy(name string) (Policy, error) {
 	for _, p := range Policies {
 		if name == p.String() {
 			return p, nil
 		}
 	}
-	return FIFO, fmt.Errorf("sched: unknown policy %q (want FIFO, WS or PRIO)", name)
+	return FIFO, fmt.Errorf("sched: unknown policy %q (want FIFO or WS)", name)
 }
 
 // State is a thread's scheduling state.
@@ -165,10 +154,6 @@ type TCB struct {
 	// queue no longer holds once the windows are gone.
 	wokeResident bool
 
-	// pri is the thread's scheduling priority (Priority policy only);
-	// higher values dispatch first.
-	pri int
-
 	// coreIdx is the index of the core whose window file currently
 	// hosts the thread; dispatches counts dispatches, driving the
 	// deterministic migration cadence (Kernel.SetMigrateEvery).
@@ -193,26 +178,6 @@ func (t *TCB) Stats() *stats.ThreadCounters { return &t.Core.Stats }
 // switch type (Section 4.4).
 func (t *TCB) SetFlushOnSwitch(f bool) { t.flushOnSwitch = f }
 
-// SetPriority sets the thread's scheduling priority, clamped to
-// [0, PriorityLevels-1]. Only the Priority policy consults it; higher
-// priorities dispatch first.
-func (t *TCB) SetPriority(p int) {
-	if p < 0 {
-		p = 0
-	}
-	if p >= PriorityLevels {
-		p = PriorityLevels - 1
-	}
-	t.pri = p
-}
-
-// Priority returns the thread's scheduling priority.
-func (t *TCB) Priority() int { return t.pri }
-
-// CoreIndex reports which core's window file currently hosts the
-// thread (always 0 on single-core kernels).
-func (t *TCB) CoreIndex() int { return t.coreIdx }
-
 // diag is a registered resource diagnostic (streams register their
 // occupancy here) consulted when building a deadlock report.
 type diag struct {
@@ -221,10 +186,10 @@ type diag struct {
 }
 
 // Kernel is the scheduler: non-preemptive FIFO/WorkingSet as in the
-// paper, optionally preemptive (SetQuantum, the Priority policy) and
-// multi-core (NewMultiKernel) for T3-scale configurations. Its state
-// is written by Run's loop and by the thread coroutine it resumed, one
-// at a time, so the kernel needs no lock.
+// paper, optionally preemptive (SetQuantum) and multi-core
+// (NewMultiKernel) for T3-scale configurations. Its state is written by
+// Run's loop and by the thread coroutine it resumed, one at a time, so
+// the kernel needs no lock.
 type Kernel struct {
 	// cores are the window managers, one per modelled core; mgr is the
 	// manager of the core the current thread runs on (cores[0] between
@@ -242,7 +207,7 @@ type Kernel struct {
 	cyc     *cycles.Counter
 	policy  Policy
 	threads []*TCB
-	ready   readyQueue
+	ready   tcbRing
 	current *TCB
 	nextID  int
 	running bool
@@ -336,9 +301,6 @@ func (k *Kernel) TotalCounters() stats.Counters {
 	return out
 }
 
-// Policy returns the scheduling policy.
-func (k *Kernel) Policy() Policy { return k.policy }
-
 // Cycles returns the shared cycle counter.
 func (k *Kernel) Cycles() *cycles.Counter { return k.cyc }
 
@@ -406,7 +368,7 @@ func (k *Kernel) Spawn(name string, body func(*Env)) *TCB {
 	k.nextID++
 	t.env = &Env{k: k, tcb: t}
 	k.threads = append(k.threads, t)
-	k.ready.pushBack(k.level(t), t)
+	k.ready.pushBack(t)
 	return t
 }
 
@@ -446,15 +408,6 @@ func (k *Kernel) threadMain(t *TCB, yield func(struct{}) bool) {
 	t.joiners = nil
 	k.current = nil
 	k.lastOnCore[t.coreIdx] = nil
-}
-
-// level returns the ready-queue bucket for t: its priority under the
-// Priority policy, the single FIFO bucket otherwise.
-func (k *Kernel) level(t *TCB) int {
-	if k.policy == Priority {
-		return t.pri
-	}
-	return 0
 }
 
 // threadFail is the panic sentinel Env.Fail unwinds the guest body
@@ -503,11 +456,6 @@ func (k *Kernel) Run() error {
 	}
 	k.running = true
 	defer func() { k.running = false }()
-	// Priorities are usually assigned between Spawn and Run, after the
-	// spawn already enqueued the thread; re-bucket the queue so the
-	// first dispatch honours them (mid-run changes take effect at the
-	// thread's next enqueue, or lazily via pop's stale-bucket re-file).
-	k.refileReady()
 	val, err := k.loop()
 	k.stopping = true
 	for _, t := range k.threads {
@@ -638,23 +586,6 @@ func (k *Kernel) budgetError() error {
 	return &fault.BudgetError{Limit: k.maxCycles, Cycle: k.cyc.Total(), Threads: k.threadStates()}
 }
 
-// refileReady rebuilds the ready queue with every thread in the bucket
-// its current priority selects, preserving FIFO order within a level.
-func (k *Kernel) refileReady() {
-	if k.policy != Priority {
-		return
-	}
-	var all []*TCB
-	for lvl := 0; lvl < PriorityLevels; lvl++ {
-		for k.ready.levels[lvl].len() > 0 {
-			all = append(all, k.ready.popFront(lvl))
-		}
-	}
-	for _, t := range all {
-		k.ready.pushBack(k.level(t), t)
-	}
-}
-
 func (k *Kernel) pop() *TCB {
 	// Working-set front-queueing is justified only while the woken
 	// thread's windows are actually resident. If they were reclaimed
@@ -663,29 +594,19 @@ func (k *Kernel) pop() *TCB {
 	// the deque a demotion is one pop plus one push — O(1), where the
 	// old slice implementation shifted the whole queue.
 	for k.policy == WorkingSet && k.ready.len() > 1 {
-		h := k.ready.peekFront(0)
+		h := k.ready.peekFront()
 		if !h.wokeResident || k.coreMgr(h).Resident(h.Core) {
 			break
 		}
 		h.wokeResident = false
-		k.ready.popFront(0)
-		k.ready.pushBack(0, h)
+		k.ready.popFront()
+		k.ready.pushBack(h)
 	}
-	for {
-		lvl := k.ready.top()
-		if lvl < 0 {
-			return nil
-		}
-		t := k.ready.popFront(lvl)
-		// A priority set after enqueue leaves the TCB in a stale
-		// bucket; re-file it and pick again.
-		if want := k.level(t); want != lvl {
-			k.ready.pushBack(want, t)
-			continue
-		}
+	t := k.ready.popFront()
+	if t != nil {
 		t.wokeResident = false
-		return t
 	}
+	return t
 }
 
 // Wake moves a blocked thread to the ready queue. Under the working-set
@@ -699,15 +620,11 @@ func (k *Kernel) Wake(t *TCB) {
 	t.state = Ready
 	if k.policy == WorkingSet && k.coreMgr(t).Resident(t.Core) {
 		t.wokeResident = true
-		k.ready.pushFront(0, t)
+		k.ready.pushFront(t)
 	} else {
-		k.ready.pushBack(k.level(t), t)
+		k.ready.pushBack(t)
 	}
 }
-
-// ReadyLen reports the current ready-queue length (the paper's parallel
-// slackness at this instant).
-func (k *Kernel) ReadyLen() int { return k.ready.len() }
 
 // blockCurrent suspends the running thread (caller must be the guest
 // goroutine holding the processor) until somebody wakes it.
@@ -720,15 +637,15 @@ func (k *Kernel) blockCurrent() {
 	k.suspend(t)
 }
 
-// yieldCurrent re-enqueues the running thread at the back (of its
-// priority level) and lets the scheduler pick the next one.
+// yieldCurrent re-enqueues the running thread at the back and lets the
+// scheduler pick the next one.
 func (k *Kernel) yieldCurrent() {
 	if k.stopping {
 		panic(stopThread{})
 	}
 	t := k.current
 	t.state = Ready
-	k.ready.pushBack(k.level(t), t)
+	k.ready.pushBack(t)
 	k.suspend(t)
 }
 
@@ -736,38 +653,26 @@ func (k *Kernel) yieldCurrent() {
 // cycles (0 restores the paper's non-preemptive behaviour).
 func (k *Kernel) SetQuantum(cycles uint64) { k.quantum = cycles }
 
-// maybePreempt yields the running thread at a safe point when (a) the
-// Priority policy has a strictly higher-priority thread ready, or (b)
+// maybePreempt yields the running thread at a safe point when
 // time-slicing is armed and the quantum expired with somebody else
 // ready. Called from the guest side at safe points (Work, both edges
 // of Call, stream operations). It is the guard only, small enough to
-// inline: a poll that cannot preempt — nobody ready, or a FIFO or
-// working-set kernel with no quantum — makes no call.
+// inline: a poll that cannot preempt — nobody ready, or no quantum —
+// makes no call.
 func (k *Kernel) maybePreempt() {
-	if k.ready.n != 0 && (k.quantum != 0 || k.policy == Priority) {
+	if k.ready.n != 0 && k.quantum != 0 {
 		k.pollPreempt()
 	}
 }
 
 // pollPreempt is maybePreempt's slow path: somebody is ready and a
-// quantum or the Priority policy may preempt the running thread.
+// quantum is armed. An expired quantum books one preemption — on the
+// kernel and on the current core's counters, where it reaches
+// /metrics — and yields.
 func (k *Kernel) pollPreempt() {
-	if k.current == nil {
+	if k.current == nil || k.cyc.Total()-k.dispatched < k.quantum {
 		return
 	}
-	if k.policy == Priority && k.ready.top() > k.level(k.current) {
-		k.preempt()
-		return
-	}
-	if k.quantum == 0 || k.cyc.Total()-k.dispatched < k.quantum {
-		return
-	}
-	k.preempt()
-}
-
-// preempt books one preemption — on the kernel and on the current
-// core's counters, where it reaches /metrics — and yields.
-func (k *Kernel) preempt() {
 	k.Preemptions++
 	k.mgr.Counters().Preemptions++
 	k.yieldCurrent()

@@ -11,7 +11,7 @@ import (
 
 // This file pins the T3-scale extensions: the O(1) ready deque, the
 // preemption safe points on both edges of Call, Join's single
-// registration, priority scheduling, and multi-core migration.
+// registration, and multi-core migration.
 
 // newMultiKernel builds an M-core kernel: one window manager per core,
 // all sharing a cycle counter, a memory and a stack allocator, so
@@ -33,7 +33,7 @@ func newMultiKernel(s core.Scheme, windows, ncores int, p Policy) *Kernel {
 // allocated a fresh queue on every working-set front-enqueue
 // (append([]*TCB{t}, ready...)).
 func TestWakeSteadyStateNoAlloc(t *testing.T) {
-	for _, p := range []Policy{FIFO, WorkingSet, Priority} {
+	for _, p := range Policies {
 		k := newKernel(core.SchemeSP, 8, p)
 		tcbs := make([]*TCB, 256)
 		for i := range tcbs {
@@ -101,7 +101,7 @@ func TestDemotionMovesConstant(t *testing.T) {
 		// Mark the head as a stale resident: front-queued by Wake, but
 		// its windows are gone by dispatch time (it never ran, so the
 		// residency check fails).
-		k.ready.peekFront(0).wokeResident = true
+		k.ready.peekFront().wokeResident = true
 		before := k.ready.moves
 		if k.pop() == nil {
 			t.Fatal("pop returned nil")
@@ -149,62 +149,33 @@ func TestRingWrapAndGrow(t *testing.T) {
 	}
 }
 
-// TestPriorityPreemptsAtCallEntry pins the safe point on the entry edge
-// of Call: a low-priority thread that wakes a high-priority sleeper is
-// preempted before its next save, so the callee runs only after the
-// high-priority thread finished.
-func TestPriorityPreemptsAtCallEntry(t *testing.T) {
-	k := newKernel(core.SchemeSP, 16, Priority)
+// TestQuantumHonouredAtCallEntry pins the safe point on the entry edge
+// of Call: a thread whose quantum expired while nobody else was ready
+// wakes a sleeper and is preempted before its next save, so the callee
+// runs only after the sleeper.
+func TestQuantumHonouredAtCallEntry(t *testing.T) {
+	k := newKernel(core.SchemeSP, 16, FIFO)
+	k.SetQuantum(1)
 	var order []string
-	var hi *TCB
-	hi = k.Spawn("hi", func(e *Env) {
+	sleeper := k.Spawn("sleeper", func(e *Env) {
 		e.Block()
-		order = append(order, "hi")
+		order = append(order, "sleeper")
 	})
-	hi.SetPriority(5)
-	k.Spawn("lo", func(e *Env) {
-		k.Wake(hi)
+	k.Spawn("waker", func(e *Env) {
+		e.Work(5) // expires the quantum with nobody ready: no preemption
+		k.Wake(sleeper)
 		e.Call(func(*Env) { order = append(order, "callee") })
 		order = append(order, "after")
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprint([]string{"hi", "callee", "after"})
+	want := fmt.Sprint([]string{"sleeper", "callee", "after"})
 	if got := fmt.Sprint(order); got != want {
 		t.Errorf("order = %v, want %v (no preemption at the call entry edge)", got, want)
 	}
 	if k.Preemptions == 0 {
 		t.Error("no preemption counted")
-	}
-}
-
-// TestPriorityPreemptsAtReturnEdge pins the safe point on the return
-// edge of Call: a high-priority thread woken inside a callee (which has
-// no further safe points) runs as soon as the caller's window is
-// restored, not after the caller's body completes.
-func TestPriorityPreemptsAtReturnEdge(t *testing.T) {
-	k := newKernel(core.SchemeSP, 16, Priority)
-	var order []string
-	var hi *TCB
-	hi = k.Spawn("hi", func(e *Env) {
-		e.Block()
-		order = append(order, "hi")
-	})
-	hi.SetPriority(5)
-	k.Spawn("lo", func(e *Env) {
-		e.Call(func(*Env) {
-			k.Wake(hi)
-			order = append(order, "callee")
-		})
-		order = append(order, "after")
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprint([]string{"callee", "hi", "after"})
-	if got := fmt.Sprint(order); got != want {
-		t.Errorf("order = %v, want %v (no preemption at the call return edge)", got, want)
 	}
 }
 
@@ -230,30 +201,6 @@ func TestQuantumHonouredAtReturnEdge(t *testing.T) {
 	}
 	if k.Preemptions == 0 {
 		t.Error("no preemption counted")
-	}
-}
-
-// TestPriorityOrdering pins basic priority dispatch: ready threads run
-// strictly highest-priority-first, FIFO within a level — including
-// priorities assigned after the spawn enqueue (the stale-bucket
-// re-file in pop).
-func TestPriorityOrdering(t *testing.T) {
-	k := newKernel(core.SchemeSP, 16, Priority)
-	var order []string
-	add := func(name string, pri int) {
-		tc := k.Spawn(name, func(*Env) { order = append(order, name) })
-		tc.SetPriority(pri)
-	}
-	add("a0", 0)
-	add("b7", 7)
-	add("c3", 3)
-	add("d7", 7)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprint([]string{"b7", "d7", "c3", "a0"})
-	if got := fmt.Sprint(order); got != want {
-		t.Errorf("order = %v, want %v", got, want)
 	}
 }
 
@@ -410,7 +357,7 @@ func TestMigrationChargesCycles(t *testing.T) {
 
 // TestHighThreadCountAllPolicies runs 128 threads over every policy on
 // every scheme at a wide 64-window file, checking results and that the
-// run terminates cleanly (the deque and priority buckets at scale).
+// run terminates cleanly (the deque at scale).
 func TestHighThreadCountAllPolicies(t *testing.T) {
 	n := 128
 	if testing.Short() {
@@ -424,11 +371,10 @@ func TestHighThreadCountAllPolicies(t *testing.T) {
 				got := make([]uint32, n)
 				for i := 0; i < n; i++ {
 					i := i
-					tc := k.Spawn(fmt.Sprintf("t%d", i), func(e *Env) {
+					k.Spawn(fmt.Sprintf("t%d", i), func(e *Env) {
 						e.Call(fib, uint32(5+i%5))
 						got[i] = e.Ret()
 					})
-					tc.SetPriority(i % PriorityLevels)
 				}
 				if err := k.Run(); err != nil {
 					t.Fatal(err)

@@ -11,12 +11,12 @@ import (
 	"cyclicwin/internal/harness"
 )
 
-// The serial/parallel pair below is the wall-clock comparison recorded
-// in BENCH_sweep.json: a full Figure 11 sweep (3 schemes x 3
-// behaviours x the paper's 12 window counts = 108 simulations) run
-// through harness.RunSerial versus the simsvc pool. The pool runs
-// without a cache so every iteration pays the full simulation cost —
-// this measures the worker pool, not the cache.
+// The serial/parallel pair below is a wall-clock comparison: a full
+// Figure 11 sweep (3 schemes x 3 behaviours x the paper's 12 window
+// counts = 108 simulations) run through harness.RunSerial versus the
+// simsvc pool. The pool runs without a cache so every iteration pays
+// the full simulation cost — this measures the worker pool, not the
+// cache.
 //
 //	go test -run - -bench BenchmarkSweep -benchtime 3x ./internal/simsvc
 //

@@ -652,27 +652,6 @@ func (p *Pool) Runner() harness.Runner {
 	}
 }
 
-// RunAll submits every spec and waits for all of them, returning views
-// in submission order. It fails fast on an invalid spec.
-func (p *Pool) RunAll(ctx context.Context, specs []JobSpec) ([]View, error) {
-	jobs := make([]*Job, len(specs))
-	for i, s := range specs {
-		j, err := p.Submit(s)
-		if err != nil {
-			return nil, fmt.Errorf("spec %d: %w", i, err)
-		}
-		jobs[i] = j
-	}
-	views := make([]View, len(jobs))
-	for i, j := range jobs {
-		if _, err := j.Wait(ctx); err != nil {
-			return nil, err
-		}
-		views[i] = j.View(true)
-	}
-	return views, nil
-}
-
 // Drain stops accepting new jobs and waits until every queued and
 // running job is terminal or ctx expires; on expiry the remaining jobs
 // are canceled. The workers are stopped either way.

@@ -116,7 +116,7 @@ func (p *Pool) WritePrometheus(w io.Writer) error {
 	for _, s := range schemes {
 		pw.Sample("winsim_migration_saves_total", obs.L("scheme", s), float64(sims[s].Counters.MigrationSaves))
 	}
-	pw.Header("winsim_preemptions_total", "Involuntary thread preemptions (quantum expiry or priority arrival).", "counter")
+	pw.Header("winsim_preemptions_total", "Involuntary thread preemptions (quantum expiry).", "counter")
 	for _, s := range schemes {
 		pw.Sample("winsim_preemptions_total", obs.L("scheme", s), float64(sims[s].Counters.Preemptions))
 	}

@@ -171,8 +171,8 @@ func (s JobSpec) validate() error {
 		if s.Windows < 2 || s.Windows > regwin.MaxWindows {
 			return fmt.Errorf("simsvc: windows %d out of range 2..%d", s.Windows, regwin.MaxWindows)
 		}
-		if _, ok := policyByName(s.Policy); !ok {
-			return fmt.Errorf("simsvc: unknown policy %q (want FIFO, WS or PRIO)", s.Policy)
+		if _, err := sched.ParsePolicy(s.Policy); err != nil {
+			return fmt.Errorf("simsvc: unknown policy %q (want FIFO or WS)", s.Policy)
 		}
 		if s.Threads == 0 {
 			if _, ok := harness.BehaviorByName(s.Behavior); !ok {
@@ -317,15 +317,6 @@ func schemeByName(name string) (core.Scheme, bool) {
 	return 0, false
 }
 
-func policyByName(name string) (sched.Policy, bool) {
-	for _, p := range sched.Policies {
-		if p.String() == name {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
 // CellSpec converts a harness sweep cell into its canonical job spec.
 func CellSpec(c harness.CellSpec) JobSpec {
 	return JobSpec{
@@ -426,7 +417,7 @@ func (cr *CellResult) counters() stats.Counters {
 func (cr *CellResult) HarnessResult(s JobSpec) harness.Result {
 	s = s.Normalize()
 	scheme, _ := schemeByName(s.Scheme)
-	policy, _ := policyByName(s.Policy)
+	policy, _ := sched.ParsePolicy(s.Policy)
 	b, _ := harness.BehaviorByName(s.Behavior)
 	return harness.Result{
 		Scheme:            scheme,
@@ -471,7 +462,7 @@ func runCell(s JobSpec) (*CellResult, *obs.JobTrace, error) {
 		return nil, nil, err
 	}
 	scheme, _ := schemeByName(s.Scheme)
-	policy, _ := policyByName(s.Policy)
+	policy, _ := sched.ParsePolicy(s.Policy)
 	if s.Threads > 0 {
 		// T3 chain cell: the pipeline workload through harness.RunT3.
 		r := harness.RunT3(harness.CellSpec{

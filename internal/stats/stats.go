@@ -38,9 +38,9 @@ type Counters struct {
 	// Zero on single-core configurations.
 	Migrations     uint64
 	MigrationSaves uint64
-	// Preemptions counts quantum-expiry and priority preemptions the
-	// scheduler imposed on threads running on this core. Zero under the
-	// paper's non-preemptive policies.
+	// Preemptions counts the quantum-expiry preemptions the scheduler
+	// imposed on threads running on this core. Zero under the paper's
+	// non-preemptive scheduling.
 	Preemptions uint64
 
 	// SwitchCost is the exact distribution of individual context-switch

@@ -142,6 +142,3 @@ func (s *Stream) Close(e *sched.Env) {
 	s.wakeWriters()
 	_ = e
 }
-
-// Closed reports whether Close was called.
-func (s *Stream) Closed() bool { return s.closed }

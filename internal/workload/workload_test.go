@@ -210,7 +210,7 @@ func TestChainCorrectAllSchemes(t *testing.T) {
 }
 
 // TestChainPolicyIndependent pins that the checksum is scheduling
-// independent: FIFO, WorkingSet and Priority (with a quantum) agree.
+// independent: FIFO and WorkingSet (with a quantum) agree.
 func TestChainPolicyIndependent(t *testing.T) {
 	want := ChainExpected(24, 4, 80)
 	for _, p := range sched.Policies {

@@ -6,7 +6,7 @@
 #      policies on 4 migrating cores, with migration and preemption
 #      counters asserted nonzero and every pipeline checksum exact.
 #   2. TestParity: the same chain workload agrees across NS/SNP/SP and
-#      the Reference oracle at 64 threads under FIFO/WS/PRIO, plain,
+#      the Reference oracle at 64 threads under FIFO/WS, plain,
 #      preemptive and migrating.
 #   3. winsim -exp t3threads renders the crossover figure and winsim
 #      -quantum/-policy rewrite cells without breaking a sweep.
@@ -31,7 +31,7 @@ grep -q ' threads' "$TMP/t3.out"
 grep -q '     256 ' "$TMP/t3.out"
 
 echo "== -policy/-quantum overrides run a sweep =="
-go run ./cmd/winsim -exp t3threads -windows 8 -policy PRIO -quantum 200 >"$TMP/t3prio.out"
-grep -q 'T3 crossover' "$TMP/t3prio.out"
+go run ./cmd/winsim -exp t3threads -windows 8 -policy WS -quantum 200 >"$TMP/t3ws.out"
+grep -q 'T3 crossover' "$TMP/t3ws.out"
 
 echo "T3 SMOKE OK"
