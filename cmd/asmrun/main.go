@@ -6,6 +6,8 @@
 // Usage:
 //
 //	asmrun [-scheme SP] [-windows 8] [-entry start] [-list] [-stats] prog.s
+//
+// The scheme name is case-insensitive.
 package main
 
 import (
@@ -15,6 +17,7 @@ import (
 	"strings"
 
 	"cyclicwin"
+	"cyclicwin/internal/core"
 	"cyclicwin/internal/regwin"
 )
 
@@ -55,15 +58,8 @@ func main() {
 		return
 	}
 
-	var scheme cyclicwin.Scheme
-	switch strings.ToUpper(*schemeFlag) {
-	case "NS":
-		scheme = cyclicwin.NS
-	case "SNP":
-		scheme = cyclicwin.SNP
-	case "SP":
-		scheme = cyclicwin.SP
-	default:
+	scheme, err := core.ParseScheme(strings.ToUpper(*schemeFlag))
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "asmrun: unknown scheme %q\n", *schemeFlag)
 		os.Exit(2)
 	}

@@ -7,6 +7,8 @@
 //
 //	spellcheck [-scheme NS|SNP|SP] [-windows 8] [-policy fifo|ws]
 //	           [-m 4] [-n 4] [-stats] [file.tex]
+//
+// Scheme and policy names are case-insensitive.
 package main
 
 import (
@@ -16,8 +18,10 @@ import (
 	"strings"
 
 	"cyclicwin"
+	"cyclicwin/internal/core"
 	"cyclicwin/internal/corpus"
 	"cyclicwin/internal/regwin"
+	"cyclicwin/internal/sched"
 )
 
 func main() {
@@ -29,15 +33,8 @@ func main() {
 	stats := flag.Bool("stats", false, "print machine statistics")
 	flag.Parse()
 
-	var scheme cyclicwin.Scheme
-	switch strings.ToUpper(*schemeFlag) {
-	case "NS":
-		scheme = cyclicwin.NS
-	case "SNP":
-		scheme = cyclicwin.SNP
-	case "SP":
-		scheme = cyclicwin.SP
-	default:
+	scheme, err := core.ParseScheme(strings.ToUpper(*schemeFlag))
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "spellcheck: unknown scheme %q\n", *schemeFlag)
 		os.Exit(2)
 	}
@@ -45,20 +42,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spellcheck: window count %d outside %d..%d\n", *windows, regwin.MinWindows, regwin.MaxWindows)
 		os.Exit(2)
 	}
-	var policy cyclicwin.Policy
-	switch strings.ToLower(*policyFlag) {
-	case "fifo":
-		policy = cyclicwin.FIFO
-	case "ws":
-		policy = cyclicwin.WorkingSet
-	default:
+	policy, err := sched.ParsePolicy(strings.ToUpper(*policyFlag))
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "spellcheck: unknown policy %q (want fifo or ws)\n", *policyFlag)
 		os.Exit(2)
 	}
 
 	source := corpus.Draft()
 	if flag.NArg() > 0 {
-		var err error
 		source, err = os.ReadFile(flag.Arg(0))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spellcheck: %v\n", err)

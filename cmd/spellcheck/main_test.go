@@ -55,3 +55,20 @@ func TestRejectsBadFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestAcceptsAnyCase pins that -scheme and -policy take their names in
+// any case, as winsim's -policy does.
+func TestAcceptsAnyCase(t *testing.T) {
+	src := t.TempDir() + "/draft.tex"
+	if err := os.WriteFile(src, []byte("Hello wrold\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-scheme", "snp", "-policy", "WS"},
+		{"-scheme", "Sp", "-policy", "fifo"},
+	} {
+		if code, stderr := runMain(t, append(args, src)...); code != 0 {
+			t.Errorf("%v: exit %d, stderr %q; want a clean run", args, code, stderr)
+		}
+	}
+}

@@ -56,7 +56,7 @@ func main() {
 	checkRuns := flag.Int("checkruns", 8, "with -check: seeded random sequences per configuration variant")
 	checkLen := flag.Int("checklen", 400, "with -check: length of each random sequence")
 	checkSeed := flag.Uint64("checkseed", 1, "with -check: base seed for the random sequences")
-	policyFlag := flag.String("policy", "", "override the scheduling policy of every sweep cell: FIFO or WS (default: each experiment's own)")
+	policyFlag := flag.String("policy", "", "override the scheduling policy of every sweep cell: FIFO or WS, any case (default: each experiment's own)")
 	quantum := flag.Uint64("quantum", 0, "preemptive time-slice in cycles applied to every sweep cell (0 = the paper's non-preemptive scheduling)")
 	flag.Parse()
 
@@ -153,7 +153,7 @@ func main() {
 		var pol sched.Policy
 		havePol := false
 		if *policyFlag != "" {
-			p, err := sched.ParsePolicy(*policyFlag)
+			p, err := sched.ParsePolicy(strings.ToUpper(*policyFlag))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
 				os.Exit(2)
@@ -275,12 +275,7 @@ func serialRunner(maxCycles uint64, faultSeed int64, chrome *obs.ChromeTrace) ha
 			var tr *obs.Tracer
 			if chrome != nil {
 				tr = obs.NewTracer(0)
-				opts.OnManager = func(m core.Manager) { tr.Attach(m) }
-				opts.OnKernel = func(k *sched.Kernel) {
-					for _, t := range k.Threads() {
-						tr.SetThreadName(t.Core.ID, t.Name())
-					}
-				}
+				opts.AttachTracer(tr)
 			}
 			r, err := harness.RunSpellWith(opts)
 			if err != nil {

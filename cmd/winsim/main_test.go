@@ -47,6 +47,23 @@ func TestQuantumReachesSerialRunner(t *testing.T) {
 	}
 }
 
+// TestPolicyFlagAnyCase pins that -policy parses through
+// sched.ParsePolicy after upper-casing: -policy ws prints exactly what
+// -policy WS does, and -policy fifo is applied too (fig15 is a
+// working-set figure, so FIFO changes it).
+func TestPolicyFlagAnyCase(t *testing.T) {
+	args := func(policy string) []string {
+		return []string{"-exp", "fig15", "-windows", "4", "-parallel=false", "-policy", policy}
+	}
+	upper := runMain(t, args("WS")...)
+	if lower := runMain(t, args("ws")...); lower != upper {
+		t.Fatalf("-policy ws printed\n%s\n-policy WS printed\n%s", lower, upper)
+	}
+	if fifo := runMain(t, args("fifo")...); fifo == upper {
+		t.Fatal("-policy fifo printed the working-set figure; the lower-case policy was not applied")
+	}
+}
+
 // TestExpAllGolden pins the standard output of -exp all byte for byte:
 // every experiment of the catalog at quick sizes, the ablation,
 // crossover and T3 figures included, which the fig11-15 golden of

@@ -41,6 +41,17 @@ func (s Scheme) String() string {
 // Schemes lists the three evaluated schemes in the paper's order.
 var Schemes = []Scheme{SchemeNS, SchemeSNP, SchemeSP}
 
+// ParseScheme maps a scheme name (as produced by String) back to one of
+// the evaluated Schemes; it accepts NS, SNP and SP.
+func ParseScheme(name string) (Scheme, error) {
+	for _, s := range Schemes {
+		if name == s.String() {
+			return s, nil
+		}
+	}
+	return SchemeNS, fmt.Errorf("core: unknown scheme %q (want NS, SNP or SP)", name)
+}
+
 // Manager is a window-management scheme driving one register file shared
 // by many threads. Save, Restore, Reg and SetReg act on the running
 // thread; Switch suspends the running thread (if any) and schedules

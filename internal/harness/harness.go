@@ -12,6 +12,7 @@ import (
 	"cyclicwin/internal/core"
 	"cyclicwin/internal/corpus"
 	"cyclicwin/internal/fault"
+	"cyclicwin/internal/obs"
 	"cyclicwin/internal/sched"
 	"cyclicwin/internal/spell"
 	"cyclicwin/internal/stats"
@@ -234,6 +235,17 @@ type SpellOpts struct {
 	// layer uses it to label thread ids in exported traces, the flush
 	// ablation to mark every thread for the flushing switch.
 	OnKernel func(*sched.Kernel)
+}
+
+// AttachTracer sets OnManager and OnKernel so tr records the run's
+// window-management events and names each thread for exports.
+func (o *SpellOpts) AttachTracer(tr *obs.Tracer) {
+	o.OnManager = func(m core.Manager) { tr.Attach(m) }
+	o.OnKernel = func(k *sched.Kernel) {
+		for _, t := range k.Threads() {
+			tr.SetThreadName(t.Core.ID, t.Name())
+		}
+	}
 }
 
 // RunSpellWith executes one spell-checker run with watchdog and chaos

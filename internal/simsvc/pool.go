@@ -40,11 +40,8 @@ type Job struct {
 	// fields above it is set before the job is published.
 	cacheHit bool
 
-	// shard is the metrics shard every lifecycle event of this job is
-	// reported against; pinning all of a job's events to one shard is
-	// what keeps the scraped conservation invariant exact. client and
-	// cost are the admission-control bookkeeping captured at submit.
-	shard  uint32
+	// client and cost are the admission-control bookkeeping captured
+	// at submit.
 	client string
 	cost   uint64
 
@@ -210,8 +207,8 @@ type PoolConfig struct {
 // onto the same Job; identical specs submitted after completion are
 // answered by the cache.
 type Pool struct {
-	cfg     PoolConfig
-	metrics *shardedMetrics
+	cfg  PoolConfig
+	sims simAgg
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -236,6 +233,9 @@ type Pool struct {
 	clientQueued map[string]int
 	queueCost    uint64
 
+	// acct is the job accounting (guarded by mu); see jobStats.
+	acct jobStats
+
 	workerWG sync.WaitGroup // worker goroutines
 	jobWG    sync.WaitGroup // enqueued jobs not yet terminal
 }
@@ -248,7 +248,6 @@ func NewPool(cfg PoolConfig) *Pool {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pool{
 		cfg:          cfg,
-		metrics:      newShardedMetrics(cfg.Workers),
 		ctx:          ctx,
 		cancel:       cancel,
 		byID:         make(map[string]*Job),
@@ -256,7 +255,6 @@ func NewPool(cfg PoolConfig) *Pool {
 		clientQueued: make(map[string]int),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	p.metrics.setWorkers(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		p.workerWG.Add(1)
 		go p.worker()
@@ -270,16 +268,11 @@ func (p *Pool) Cache() *Cache { return p.cfg.Cache }
 // Workers returns the worker count.
 func (p *Pool) Workers() int { return p.cfg.Workers }
 
-// Metrics returns a point-in-time snapshot of pool and cache counters.
-// It never blocks a job event: the job counters are read through the
-// wait-free shard registers, and only the admission gauges take the
-// (submission-side) queue lock.
+// Metrics returns a point-in-time snapshot of pool and cache counters:
+// the job counters and admission gauges are copied in one critical
+// section, and quantiles are computed after it.
 func (p *Pool) Metrics() MetricsSnapshot {
-	s := p.metrics.snapshot(p.cfg.Cache.Stats())
-	p.mu.Lock()
-	s.QueueCost = p.queueCost
-	s.ActiveClients = len(p.clientQueued)
-	p.mu.Unlock()
+	s, _ := p.snapshot()
 	return s
 }
 
@@ -334,11 +327,15 @@ func (p *Pool) SubmitFrom(client string, spec JobSpec) (*Job, error) {
 	if res, ok := p.cfg.Cache.Get(context.Background(), hash); ok {
 		j := &Job{id: id, hash: hash, spec: spec, cacheHit: true, submitted: time.Now(), done: make(chan struct{})}
 		j.finish(StatusDone, res, nil)
+		elapsed := time.Since(t0)
+		p.mu.Lock()
 		// The cache answer is a real service event with a real measured
 		// latency — recording it as a hard 0 used to drag cache-hot
 		// p50/mean to zero and falsify every SLO read on warm traffic.
-		p.metrics.jobCached(p.metrics.pickShard(), time.Since(t0))
-		p.mu.Lock()
+		p.acct.accepted++
+		p.acct.done++
+		p.acct.cached++
+		p.acct.observe(elapsed)
 		p.byID[id] = j
 		p.retireLocked(j)
 		p.mu.Unlock()
@@ -365,22 +362,21 @@ func (p *Pool) SubmitFrom(client string, spec JobSpec) (*Job, error) {
 	// service is full", "you are over your share" and "your job is too
 	// expensive right now" apart.
 	if p.cfg.MaxQueue > 0 && len(p.queue) >= p.cfg.MaxQueue {
+		p.acct.shed[ShedQueueFull]++
 		p.mu.Unlock()
-		p.metrics.jobShed(ShedQueueFull)
 		return nil, fmt.Errorf("%w: queue full (%d jobs waiting)", ErrPoolSaturated, p.cfg.MaxQueue)
 	}
 	if p.cfg.PerClientQueue > 0 && client != "" && p.clientQueued[client] >= p.cfg.PerClientQueue {
+		p.acct.shed[ShedClientQuota]++
 		p.mu.Unlock()
-		p.metrics.jobShed(ShedClientQuota)
 		return nil, fmt.Errorf("%w (client %q already holds %d queued jobs)", ErrClientQuota, client, p.cfg.PerClientQueue)
 	}
 	if p.cfg.MaxQueueCost > 0 && p.queueCost+cost > p.cfg.MaxQueueCost {
+		p.acct.shed[ShedCost]++
 		p.mu.Unlock()
-		p.metrics.jobShed(ShedCost)
 		return nil, fmt.Errorf("%w (estimated cost %d over remaining budget %d)",
 			ErrCostShed, cost, p.cfg.MaxQueueCost-p.queueCost)
 	}
-	j.shard = p.metrics.pickShard()
 	p.byID[id] = j
 	p.inflight[hash] = j
 	p.queue = append(p.queue, j)
@@ -389,7 +385,8 @@ func (p *Pool) SubmitFrom(client string, spec JobSpec) (*Job, error) {
 	}
 	p.queueCost += cost
 	p.jobWG.Add(1)
-	p.metrics.jobQueued(j.shard)
+	p.acct.accepted++
+	p.acct.queued++
 	p.cond.Signal()
 	p.mu.Unlock()
 	return j, nil
@@ -441,6 +438,8 @@ func (p *Pool) worker() {
 			}
 		}
 		p.queueCost -= j.cost
+		p.acct.queued--
+		p.acct.running++
 		p.mu.Unlock()
 		p.runJob(j)
 	}
@@ -450,12 +449,10 @@ func (p *Pool) runJob(j *Job) {
 	defer p.jobWG.Done()
 
 	if p.ctx.Err() != nil {
-		p.finish(j, StatusCanceled, nil, fmt.Errorf("simsvc: pool shut down before job ran"))
-		p.metrics.jobDroppedQueued(j.shard)
+		p.finish(j, time.Time{}, StatusCanceled, nil, fmt.Errorf("simsvc: pool shut down before job ran"))
 		return
 	}
 
-	p.metrics.jobStarted(j.shard)
 	j.setStarted()
 	start := time.Now()
 
@@ -477,7 +474,9 @@ func (p *Pool) runJob(j *Job) {
 		// stack preserved in the result for post-mortem debugging.
 		defer func() {
 			if r := recover(); r != nil {
-				p.metrics.panicRecovered()
+				p.mu.Lock()
+				p.acct.panics++
+				p.mu.Unlock()
 				res := &JobResult{Spec: j.spec, PanicStack: string(debug.Stack())}
 				ch <- outcome{res, fmt.Errorf("simsvc: job panicked: %v", r)}
 			}
@@ -486,37 +485,38 @@ func (p *Pool) runJob(j *Job) {
 		ch <- outcome{res, err}
 	}()
 
-	var st Status
 	select {
 	case o := <-ch:
 		if o.err != nil {
-			st = StatusFailed
-			p.finish(j, st, o.res, o.err)
+			p.finish(j, start, StatusFailed, o.res, o.err)
 		} else {
-			st = StatusDone
 			p.cfg.Cache.Put(j.hash, o.res)
-			p.finish(j, st, o.res, nil)
+			p.finish(j, start, StatusDone, o.res, nil)
 		}
 	case <-ctx.Done():
 		if p.ctx.Err() != nil {
-			st = StatusCanceled
-			p.finish(j, st, nil, fmt.Errorf("simsvc: pool shut down: %w", p.ctx.Err()))
+			p.finish(j, start, StatusCanceled, nil, fmt.Errorf("simsvc: pool shut down: %w", p.ctx.Err()))
 		} else {
-			st = StatusFailed
-			p.finish(j, st, nil, fmt.Errorf("%w: job exceeded timeout %v", ErrTimeout, p.cfg.JobTimeout))
+			p.finish(j, start, StatusFailed, nil, fmt.Errorf("%w: job exceeded timeout %v", ErrTimeout, p.cfg.JobTimeout))
 		}
 	}
-	p.metrics.jobFinished(j.shard, st, time.Since(start))
 }
 
-// finish makes a job the pool ran terminal and retires it. The job
+// finish makes a job a worker took off the queue terminal, accounts it
+// and retires it; start is when the job began running, or zero for a
+// job dropped unrun at shutdown, which records no latency. The job
 // leaves the coalescing map in the same critical section, before its
 // done channel closes, so a submission made once the job has answered
 // consults the cache (or retries a failure) instead of attaching to
 // the finished job.
-func (p *Pool) finish(j *Job, st Status, res *JobResult, err error) {
+func (p *Pool) finish(j *Job, start time.Time, st Status, res *JobResult, err error) {
+	elapsed := time.Since(start)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.acct.finished(st)
+	if !start.IsZero() {
+		p.acct.observe(elapsed)
+	}
 	if p.inflight[j.hash] == j {
 		delete(p.inflight, j.hash)
 	}
@@ -570,7 +570,7 @@ func (p *Pool) execute(spec JobSpec) (*JobResult, error) {
 		res.Trace = jt
 		c := cr.counters()
 		res.Counters = &c
-		p.metrics.simObserved(spec.Scheme, &c)
+		p.sims.observe(spec.Scheme, &c)
 	} else {
 		e, ok := LookupExperiment(spec.Experiment)
 		if !ok {
@@ -613,7 +613,7 @@ func (p *Pool) cachedSerialRunner() harness.Runner {
 				continue
 			}
 			r := c.Run()
-			p.metrics.simObserved(c.Scheme.String(), &r.Counters)
+			p.sims.observe(c.Scheme.String(), &r.Counters)
 			p.cfg.Cache.Put(hash, &JobResult{Spec: spec, Cell: CellResultOf(r)})
 			out[i] = r
 		}
@@ -645,7 +645,7 @@ func (p *Pool) Runner() harness.Runner {
 				}
 			}
 			r := cells[i].Run()
-			p.metrics.simObserved(cells[i].Scheme.String(), &r.Counters)
+			p.sims.observe(cells[i].Scheme.String(), &r.Counters)
 			out[i] = r
 		}
 		return out

@@ -17,9 +17,8 @@ var jobLatencyBounds = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 6
 // serves on GET /metrics. Service-level families are prefixed winsimd_,
 // simulation-level families winsim_.
 func (p *Pool) WritePrometheus(w io.Writer) error {
-	snap := p.Metrics()
-	latency, latSum := p.metrics.latencyStats()
-	sims := p.metrics.simSnapshot()
+	snap, acct := p.snapshot()
+	sims := p.sims.snapshot()
 
 	pw := obs.NewWriter(w)
 
@@ -67,10 +66,11 @@ func (p *Pool) WritePrometheus(w io.Writer) error {
 	pw.Sample("winsimd_cache_coalesced_total", nil, float64(snap.CacheCoalesced))
 
 	pw.Header("winsimd_job_latency_seconds", "Wall-clock latency of executed jobs (cache answers at their real measured latency).", "histogram")
-	lb, _, lcount := obs.FoldBuckets(&latency, jobLatencyBounds, 1e-9) // ns -> s
-	// The recorder keeps the exact running sum even where the bucketed
-	// distribution is approximate; prefer it for the _sum series.
-	pw.Histogram("winsimd_job_latency_seconds", nil, lb, latSum, lcount)
+	lb, _, lcount := obs.FoldBuckets(&acct.latency, jobLatencyBounds, 1e-9) // ns -> s
+	// The accounting keeps the exact running sum even where the
+	// bucketed distribution is approximate; prefer it for the _sum
+	// series.
+	pw.Histogram("winsimd_job_latency_seconds", nil, lb, float64(acct.latSum)/1e9, lcount)
 
 	schemes := make([]string, 0, len(sims))
 	for s := range sims {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cyclicwin/internal/obs/promtest"
 )
 
 // ---------------------------------------------------------------------
@@ -19,8 +22,8 @@ import (
 // submit-to-answer time, never a hard 0.
 
 func TestCachedJobLatencyNonzero(t *testing.T) {
-	// The sharded recorder is the pool's only one; the subtest keeps
-	// the name it had when a locked recorder ran beside it.
+	// The subtest keeps the name it had when the pool's job accounting
+	// was a sharded recorder with a locked one beside it.
 	t.Run("sharded", func(t *testing.T) {
 		setHook(t, func(spec JobSpec) (*JobResult, error) {
 			return &JobResult{Spec: spec}, nil
@@ -358,12 +361,12 @@ func TestShedReasonHeader(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Stress: Submit storm + /metrics scrapes + cache reads,
-// asserting the conservation invariant on every scrape. Run with
-// -race this doubles as the satellite "scrape never blocks a writer"
-// regression: the scrapers hammer snapshot() while every submitter and
-// worker publishes, and the sharded recorder must keep every view
-// coherent (no torn multi-word reads, no negative gauges).
+// Stress: Submit storm + /metrics scrapes + cache reads, asserting the
+// conservation invariant on every JSON scrape and, on every text
+// scrape, that the latency histogram counts exactly the terminal jobs.
+// Run with -race this checks that every view is one coherent copy of
+// the accounting (no lost events, no negative gauges) while every
+// submitter and worker updates it.
 func TestServingStressConservation(t *testing.T) {
 	setHook(t, func(spec JobSpec) (*JobResult, error) {
 		if spec.MaxCycles%7 == 0 {
@@ -395,6 +398,29 @@ func TestServingStressConservation(t *testing.T) {
 			t.Errorf("gauge went negative: queued=%d running=%d", m.JobsQueued, m.JobsRunning)
 		}
 	}
+	// A text scrape is one snapshot: every job that reached a terminal
+	// state has its latency in the histogram, and no other job does
+	// (none leaves its queue unrun here), so the two families agree
+	// exactly on every scrape.
+	checkText := func(body string) {
+		fams, err := promtest.Parse(body)
+		if err != nil {
+			t.Errorf("exposition does not parse: %v", err)
+			return
+		}
+		var measured float64
+		for _, s := range fams["winsimd_job_latency_seconds"].Samples {
+			if s.Name == "winsimd_job_latency_seconds_count" {
+				measured = s.Value
+			}
+		}
+		terminal := sampleValue(t, fams, "winsimd_jobs_total", "state", "done") +
+			sampleValue(t, fams, "winsimd_jobs_total", "state", "failed") +
+			sampleValue(t, fams, "winsimd_jobs_total", "state", "canceled")
+		if measured != terminal {
+			t.Errorf("one scrape: winsimd_job_latency_seconds_count = %v, but done+failed+canceled = %v", measured, terminal)
+		}
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -418,9 +444,12 @@ func TestServingStressConservation(t *testing.T) {
 				if err == nil {
 					check(m)
 				}
-				// The text exposition exercises the histogram render path.
 				if resp, err := http.Get(srv.URL + "/metrics"); err == nil {
+					body, err := io.ReadAll(resp.Body)
 					resp.Body.Close()
+					if err == nil {
+						checkText(string(body))
+					}
 				}
 			}
 		}()

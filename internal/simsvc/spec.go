@@ -165,7 +165,7 @@ func (s JobSpec) validate() error {
 		return fmt.Errorf("simsvc: dict %d out of range 0..%d", s.Dict, MaxTextBytes)
 	}
 	if s.Experiment == ExperimentCell {
-		if _, ok := schemeByName(s.Scheme); !ok {
+		if _, err := core.ParseScheme(s.Scheme); err != nil {
 			return fmt.Errorf("simsvc: unknown scheme %q (want NS, SNP or SP)", s.Scheme)
 		}
 		if s.Windows < 2 || s.Windows > regwin.MaxWindows {
@@ -308,15 +308,6 @@ func (s JobSpec) EstimateCost() uint64 {
 	return schemes * threads * windows * text
 }
 
-func schemeByName(name string) (core.Scheme, bool) {
-	for _, s := range core.Schemes {
-		if s.String() == name {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
 // CellSpec converts a harness sweep cell into its canonical job spec.
 func CellSpec(c harness.CellSpec) JobSpec {
 	return JobSpec{
@@ -332,6 +323,21 @@ func CellSpec(c harness.CellSpec) JobSpec {
 		Quantum:      c.Quantum,
 		MigrateEvery: c.MigrateEvery,
 	}.Normalize()
+}
+
+// cell is the inverse of CellSpec: the harness sweep cell a normalized,
+// valid cell spec describes. The spell-only knobs (SearchAlloc,
+// HWAssist, TrapTransfer, MaxCycles, Trace) have no CellSpec field;
+// runCell applies them.
+func (s JobSpec) cell() harness.CellSpec {
+	scheme, _ := core.ParseScheme(s.Scheme)
+	policy, _ := sched.ParsePolicy(s.Policy)
+	b, _ := harness.BehaviorByName(s.Behavior)
+	return harness.CellSpec{
+		Scheme: scheme, Windows: s.Windows, Policy: policy, Behavior: b,
+		Sizes:   harness.Sizes{Draft: s.Draft, Dict: s.Dict},
+		Threads: s.Threads, Cores: s.Cores, Quantum: s.Quantum, MigrateEvery: s.MigrateEvery,
+	}
 }
 
 // CellResult is the JSON-stable outcome of one simulation cell: the
@@ -415,15 +421,12 @@ func (cr *CellResult) counters() stats.Counters {
 // given spec — how cached and pooled cells re-enter a sweep
 // byte-identically to freshly simulated ones.
 func (cr *CellResult) HarnessResult(s JobSpec) harness.Result {
-	s = s.Normalize()
-	scheme, _ := schemeByName(s.Scheme)
-	policy, _ := sched.ParsePolicy(s.Policy)
-	b, _ := harness.BehaviorByName(s.Behavior)
+	c := s.Normalize().cell()
 	return harness.Result{
-		Scheme:            scheme,
-		Windows:           s.Windows,
-		Policy:            policy,
-		Behavior:          b,
+		Scheme:            c.Scheme,
+		Windows:           c.Windows,
+		Policy:            c.Policy,
+		Behavior:          c.Behavior,
 		Cycles:            cr.Cycles,
 		Counters:          cr.counters(),
 		ThreadSuspensions: cr.ThreadSuspensions,
@@ -458,40 +461,21 @@ type JobResult struct {
 // recording its event trace when the spec asks for one.
 func runCell(s JobSpec) (*CellResult, *obs.JobTrace, error) {
 	s = s.Normalize()
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, nil, err
 	}
-	scheme, _ := schemeByName(s.Scheme)
-	policy, _ := sched.ParsePolicy(s.Policy)
-	if s.Threads > 0 {
-		// T3 chain cell: the pipeline workload through harness.RunT3.
-		r := harness.RunT3(harness.CellSpec{
-			Scheme: scheme, Windows: s.Windows, Policy: policy, Sizes: s.Sizes(),
-			Threads: s.Threads, Cores: s.Cores,
-			Quantum: s.Quantum, MigrateEvery: s.MigrateEvery,
-		})
-		return CellResultOf(r), nil, nil
+	c := s.cell()
+	if c.Threads > 0 {
+		// T3 chain cell: the pipeline workload.
+		return CellResultOf(c.Run()), nil, nil
 	}
-	b, _ := harness.BehaviorByName(s.Behavior)
-	cfg := core.Config{
-		Windows:      s.Windows,
-		SearchAlloc:  s.SearchAlloc,
-		HWAssist:     s.HWAssist,
-		TrapTransfer: s.TrapTransfer,
-	}
-	opts := harness.SpellOpts{
-		Config: cfg, Scheme: scheme, Policy: policy, Behavior: b, Sizes: s.Sizes(),
-		MaxCycles: s.MaxCycles, Quantum: s.Quantum,
-	}
+	opts := c.SpellOpts()
+	opts.Config.SearchAlloc, opts.Config.HWAssist, opts.Config.TrapTransfer = s.SearchAlloc, s.HWAssist, s.TrapTransfer
+	opts.MaxCycles = s.MaxCycles
 	var tr *obs.Tracer
 	if s.Trace {
 		tr = obs.NewTracer(0)
-		opts.OnManager = func(m core.Manager) { tr.Attach(m) }
-		opts.OnKernel = func(k *sched.Kernel) {
-			for _, t := range k.Threads() {
-				tr.SetThreadName(t.Core.ID, t.Name())
-			}
-		}
+		opts.AttachTracer(tr)
 	}
 	r, err := harness.RunSpellWith(opts)
 	if err != nil {

@@ -24,8 +24,7 @@ type Distribution struct {
 func (d *Distribution) Observe(v uint64) { d.ObserveN(v, 1) }
 
 // ObserveN adds count identical samples of value v in one step — how a
-// pre-bucketed histogram (the sharded job-latency shards) is rebuilt
-// into a Distribution without replaying every observation.
+// serialised histogram is rebuilt without replaying every observation.
 func (d *Distribution) ObserveN(v, count uint64) {
 	if count == 0 {
 		return
