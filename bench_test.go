@@ -41,6 +41,7 @@ func benchSpell(b *testing.B, scheme core.Scheme, windows int, policy sched.Poli
 // BenchmarkTable1 regenerates the program-behaviour characterisation:
 // per-behaviour context-switch totals (scheme-independent).
 func BenchmarkTable1(b *testing.B) {
+	benchWithoutAudit(b)
 	for _, bh := range harness.Behaviors {
 		b.Run(bh.Name, func(b *testing.B) {
 			var r harness.Result
@@ -56,6 +57,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates the context-switch cost table; each row's
 // charged cycles are reported as "simcycles".
 func BenchmarkTable2(b *testing.B) {
+	benchWithoutAudit(b)
 	var rows []harness.Table2Row
 	for i := 0; i < b.N; i++ {
 		rows = harness.RunTable2()
@@ -72,6 +74,7 @@ func BenchmarkTable2(b *testing.B) {
 
 // BenchmarkFig11 is the high-concurrency execution-time sweep (FIFO).
 func BenchmarkFig11(b *testing.B) {
+	benchWithoutAudit(b)
 	for _, g := range []string{"fine", "medium", "coarse"} {
 		for _, s := range core.Schemes {
 			for _, w := range benchWindows {
@@ -89,6 +92,7 @@ func BenchmarkFig11(b *testing.B) {
 // results are pinned byte-for-byte by the harness golden test; this
 // benchmark tracks how long producing them takes.
 func BenchmarkFig11EndToEnd(b *testing.B) {
+	benchWithoutAudit(b)
 	var f harness.Figure
 	for i := 0; i < b.N; i++ {
 		f = harness.RunFig11With(harness.QuickSizes, benchWindows, harness.RunSerial)
@@ -101,6 +105,7 @@ func BenchmarkFig11EndToEnd(b *testing.B) {
 // BenchmarkFig12 reports the average context-switch time at high
 // concurrency (the cyc/switch metric is the figure's y axis).
 func BenchmarkFig12(b *testing.B) {
+	benchWithoutAudit(b)
 	for _, s := range core.Schemes {
 		for _, w := range benchWindows {
 			b.Run(fmt.Sprintf("%v/w%d", s, w), func(b *testing.B) {
@@ -113,6 +118,7 @@ func BenchmarkFig12(b *testing.B) {
 // BenchmarkFig13 reports the window-trap probability at high concurrency
 // (the trapprob metric is the figure's y axis).
 func BenchmarkFig13(b *testing.B) {
+	benchWithoutAudit(b)
 	for _, s := range core.Schemes {
 		for _, w := range benchWindows {
 			b.Run(fmt.Sprintf("%v/w%d", s, w), func(b *testing.B) {
@@ -124,6 +130,7 @@ func BenchmarkFig13(b *testing.B) {
 
 // BenchmarkFig14 is the low-concurrency execution-time sweep.
 func BenchmarkFig14(b *testing.B) {
+	benchWithoutAudit(b)
 	for _, g := range []string{"fine", "medium", "coarse"} {
 		for _, s := range core.Schemes {
 			for _, w := range benchWindows {
@@ -138,6 +145,7 @@ func BenchmarkFig14(b *testing.B) {
 // BenchmarkFig15 is the high-concurrency sweep under working-set
 // scheduling, including the small window counts where it matters.
 func BenchmarkFig15(b *testing.B) {
+	benchWithoutAudit(b)
 	for _, s := range core.Schemes {
 		for _, w := range []int{6, 7, 8, 16, 32} {
 			b.Run(fmt.Sprintf("%v/w%d", s, w), func(b *testing.B) {
@@ -150,6 +158,7 @@ func BenchmarkFig15(b *testing.B) {
 // BenchmarkAblationFlush compares the in-situ and flushing switch types
 // of Section 4.4.
 func BenchmarkAblationFlush(b *testing.B) {
+	benchWithoutAudit(b)
 	var rows []harness.AblationFlush
 	for i := 0; i < b.N; i++ {
 		rows = harness.RunAblationFlush(harness.QuickSizes, 16)
@@ -162,6 +171,7 @@ func BenchmarkAblationFlush(b *testing.B) {
 // BenchmarkAblationSearchAlloc compares SNP's simple and searching
 // window allocation (Section 4.2).
 func BenchmarkAblationSearchAlloc(b *testing.B) {
+	benchWithoutAudit(b)
 	var rows []harness.AblationSearchAlloc
 	for i := 0; i < b.N; i++ {
 		rows = harness.RunAblationSearchAlloc(harness.QuickSizes, []int{12})
@@ -174,6 +184,7 @@ func BenchmarkAblationSearchAlloc(b *testing.B) {
 // BenchmarkAblationRestoreEmulation measures the Section 4.3 emulation
 // overhead as a fraction of total runtime.
 func BenchmarkAblationRestoreEmulation(b *testing.B) {
+	benchWithoutAudit(b)
 	var rows []harness.AblationRestoreEmulation
 	for i := 0; i < b.N; i++ {
 		rows = harness.RunAblationRestoreEmulation(harness.QuickSizes, 6)
@@ -186,6 +197,7 @@ func BenchmarkAblationRestoreEmulation(b *testing.B) {
 // BenchmarkRing measures the token-ring workload (pure context-switch
 // stress) under each scheme.
 func BenchmarkRing(b *testing.B) {
+	benchWithoutAudit(b)
 	for _, s := range core.Schemes {
 		b.Run(s.String(), func(b *testing.B) {
 			var cyc uint64
@@ -202,6 +214,7 @@ func BenchmarkRing(b *testing.B) {
 
 // BenchmarkForkJoin measures the fork-join tree workload.
 func BenchmarkForkJoin(b *testing.B) {
+	benchWithoutAudit(b)
 	for _, s := range core.Schemes {
 		b.Run(s.String(), func(b *testing.B) {
 			var cyc uint64
@@ -219,6 +232,7 @@ func BenchmarkForkJoin(b *testing.B) {
 // BenchmarkTransferDepth sweeps the windows-per-trap knob (the
 // Tamir/Sequin design space) on the synthetic deep-call workload.
 func BenchmarkTransferDepth(b *testing.B) {
+	benchWithoutAudit(b)
 	for _, k := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("transfer%d", k), func(b *testing.B) {
 			var cyc uint64
@@ -240,6 +254,7 @@ func BenchmarkTransferDepth(b *testing.B) {
 // pairs per second under each scheme (useful for tracking the
 // simulator's own performance).
 func BenchmarkSchemeMicro(b *testing.B) {
+	benchWithoutAudit(b)
 	for _, s := range core.Schemes {
 		b.Run(s.String(), func(b *testing.B) {
 			m := core.New(s, core.Config{Windows: 8})

@@ -15,47 +15,63 @@ func warmPair(s Scheme) (m Manager, a, b *Thread) {
 	return m, a, b
 }
 
+// benchName names a per-scheme sub-benchmark: the scheme alone with
+// the audit off, as perfbench measures, and under "audited/" with the
+// audit armed, as every test runs.
+func benchName(s Scheme, audit bool) string {
+	if audit {
+		return "audited/" + s.String()
+	}
+	return s.String()
+}
+
 // BenchmarkSaveRestore measures one save and one restore that do not
-// trap, per scheme, with the audit off and no event hook: the cost a
-// procedure call pays on a window file that has room.
+// trap, per scheme, with no event hook, with the audit off and armed:
+// the cost a procedure call pays on a window file that has room. Both
+// report 0 allocs/op.
 func BenchmarkSaveRestore(b *testing.B) {
 	defer SetInvariantChecks(InvariantChecksEnabled())
-	SetInvariantChecks(false)
-	for _, s := range Schemes {
-		b.Run(s.String(), func(b *testing.B) {
-			m, _, _ := warmPair(s)
-			traps := m.Counters().OverflowTraps + m.Counters().UnderflowTraps
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Save()
-				m.Restore()
-			}
-			b.StopTimer()
-			if m.Counters().OverflowTraps+m.Counters().UnderflowTraps != traps {
-				b.Fatal("a measured save or restore trapped")
-			}
-		})
+	for _, audit := range []bool{false, true} {
+		for _, s := range Schemes {
+			b.Run(benchName(s, audit), func(b *testing.B) {
+				SetInvariantChecks(audit)
+				m, _, _ := warmPair(s)
+				traps := m.Counters().OverflowTraps + m.Counters().UnderflowTraps
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Save()
+					m.Restore()
+				}
+				b.StopTimer()
+				if m.Counters().OverflowTraps+m.Counters().UnderflowTraps != traps {
+					b.Fatal("a measured save or restore trapped")
+				}
+			})
+		}
 	}
 }
 
 // BenchmarkSwitch measures one context switch between two warmed
-// threads at depth 0, per scheme, with the audit off and no event hook.
-// NS moves one window each way; SNP and SP move none.
+// threads at depth 0, per scheme, with no event hook, with the audit
+// off and armed. NS moves one window each way; SNP and SP move none.
+// Both report 0 allocs/op.
 func BenchmarkSwitch(b *testing.B) {
 	defer SetInvariantChecks(InvariantChecksEnabled())
-	SetInvariantChecks(false)
-	for _, s := range Schemes {
-		b.Run(s.String(), func(b *testing.B) {
-			m, a, t := warmPair(s)
-			m.Switch(t) // touch the save-area pages and cost buckets
-			m.Switch(a)
-			next := [2]*Thread{t, a}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Switch(next[i&1])
-			}
-		})
+	for _, audit := range []bool{false, true} {
+		for _, s := range Schemes {
+			b.Run(benchName(s, audit), func(b *testing.B) {
+				SetInvariantChecks(audit)
+				m, a, t := warmPair(s)
+				m.Switch(t) // touch the save-area pages and cost buckets
+				m.Switch(a)
+				next := [2]*Thread{t, a}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Switch(next[i&1])
+				}
+			})
+		}
 	}
 }

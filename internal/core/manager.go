@@ -199,6 +199,8 @@ type slot struct {
 // register file, the ownership table mirroring it, the save-area memory
 // and the counters.
 type machine struct {
+	scheme   Scheme
+	reserved int // the global reserved slot (NS, SNP); noSlot before first use and under SP
 	file     *regwin.File
 	mem      *mem.Memory
 	cyc      *cycles.Counter
@@ -217,9 +219,10 @@ type machine struct {
 	// reaches threads that currently own slots).
 	threads []*Thread
 
-	// selfVerify is the scheme's Verify method, wired by the scheme
-	// constructor so the shared event scope can run the invariant set
-	// after every outermost operation when SetInvariantChecks is on.
+	// selfVerify is Verify, wired by the scheme constructor so the
+	// shared event scope can run the invariant set after every
+	// outermost operation when SetInvariantChecks is on (a test wraps
+	// it to count audits).
 	selfVerify func() error
 
 	// onEvent, when non-nil, receives one Event per window-management
@@ -230,7 +233,7 @@ type machine struct {
 	evNest  int
 }
 
-func newMachine(cfg Config) machine {
+func newMachine(s Scheme, cfg Config) machine {
 	m := cfg.Memory
 	if m == nil {
 		m = mem.New()
@@ -240,6 +243,8 @@ func newMachine(cfg Config) machine {
 		c = new(cycles.Counter)
 	}
 	return machine{
+		scheme:   s,
+		reserved: noSlot,
 		file:     regwin.NewFile(cfg.Windows),
 		mem:      m,
 		cyc:      c,
@@ -271,6 +276,7 @@ func (m *machine) trapOverhead() uint64 {
 	return cycles.TrapEnterExit + cycles.WIMUpdate
 }
 
+func (m *machine) Scheme() Scheme            { return m.scheme }
 func (m *machine) Running() *Thread          { return m.running }
 func (m *machine) Counters() *stats.Counters { return &m.cnt }
 func (m *machine) Cycles() *cycles.Counter   { return m.cyc }
@@ -289,13 +295,19 @@ func (m *machine) SetReg(r int, v uint32) {
 	m.file.SetReg(r, v)
 }
 
-func (m *machine) newThread(id int, name string) *Thread {
+// NewThread registers a thread. It owns no windows until first
+// switched to.
+func (m *machine) NewThread(id int, name string) *Thread {
 	t := &Thread{ID: id, Name: name, saveBase: m.stacks.Alloc(), frames: m.stacks.Size() / frameBytes}
 	t.resetWindows()
 	t.initOuts()
 	m.threads = append(m.threads, t)
 	return t
 }
+
+// Resident reports whether t still has windows in the file; NS, which
+// keeps no suspended thread's windows, has its own.
+func (m *machine) Resident(t *Thread) bool { return t.HasWindows() }
 
 func (m *machine) mustRun(op string) {
 	if m.running == nil {

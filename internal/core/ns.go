@@ -15,23 +15,13 @@ import (
 // window.
 type NS struct {
 	machine
-	reserved int // the single reserved window slot
 }
 
 // NewNS returns a non-sharing manager.
 func NewNS(cfg Config) *NS {
-	ns := &NS{machine: newMachine(cfg), reserved: noSlot}
+	ns := &NS{machine: newMachine(SchemeNS, cfg)}
 	ns.selfVerify = ns.Verify
 	return ns
-}
-
-// Scheme returns SchemeNS.
-func (ns *NS) Scheme() Scheme { return SchemeNS }
-
-// NewThread registers a thread. It owns no windows until first switched
-// to.
-func (ns *NS) NewThread(id int, name string) *Thread {
-	return ns.newThread(id, name)
 }
 
 // Resident always reports false for suspended threads: NS flushes every

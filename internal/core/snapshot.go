@@ -53,21 +53,13 @@ func (s Snapshot) String() string {
 // oracle has no window file to snapshot.
 type Snapshotter interface{ Snapshot() Snapshot }
 
-// Snapshot reports the NS manager's architectural state.
-func (ns *NS) Snapshot() Snapshot { return ns.snapshot(SchemeNS, ns.reserved) }
-
-// Snapshot reports the SNP manager's architectural state.
-func (s *SNP) Snapshot() Snapshot { return s.snapshot(SchemeSNP, s.reserved) }
-
-// Snapshot reports the SP manager's architectural state.
-func (s *SP) Snapshot() Snapshot { return s.snapshot(SchemeSP, noSlot) }
-
-func (m *machine) snapshot(scheme Scheme, reserved int) Snapshot {
+// Snapshot reports the manager's architectural state.
+func (m *machine) Snapshot() Snapshot {
 	snap := Snapshot{
-		Scheme:   scheme,
+		Scheme:   m.scheme,
 		CWP:      m.file.CWP(),
 		WIM:      m.file.WIM(),
-		Reserved: reserved,
+		Reserved: m.reserved,
 		Running:  -1,
 	}
 	if m.running != nil {

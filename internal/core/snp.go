@@ -15,27 +15,15 @@ import (
 // (the simple allocation of Section 4.2).
 type SNP struct {
 	machine
-	reserved    int // the single global reserved slot, noSlot before first use
 	searchAlloc bool
 }
 
 // NewSNP returns a sharing-without-PRW manager.
 func NewSNP(cfg Config) *SNP {
-	s := &SNP{machine: newMachine(cfg), reserved: noSlot, searchAlloc: cfg.SearchAlloc}
+	s := &SNP{machine: newMachine(SchemeSNP, cfg), searchAlloc: cfg.SearchAlloc}
 	s.selfVerify = s.Verify
 	return s
 }
-
-// Scheme returns SchemeSNP.
-func (s *SNP) Scheme() Scheme { return SchemeSNP }
-
-// NewThread registers a thread.
-func (s *SNP) NewThread(id int, name string) *Thread {
-	return s.newThread(id, name)
-}
-
-// Resident reports whether t still has windows in the file.
-func (s *SNP) Resident(t *Thread) bool { return t.HasWindows() }
 
 // setReserved moves the global reserved window to slot w. The slot must
 // already be free.
@@ -202,7 +190,4 @@ func (s *SNP) Restore() { s.sharedRestore() }
 
 // Exit releases the running thread's windows. The reserved window stays
 // where it is.
-func (s *SNP) Exit() {
-	t := s.exitCommon(false)
-	_ = t
-}
+func (s *SNP) Exit() { s.exitCommon(false) }

@@ -22,21 +22,10 @@ type SP struct {
 
 // NewSP returns a sharing-with-PRW manager.
 func NewSP(cfg Config) *SP {
-	s := &SP{machine: newMachine(cfg), lastPRW: noSlot}
+	s := &SP{machine: newMachine(SchemeSP, cfg), lastPRW: noSlot}
 	s.selfVerify = s.Verify
 	return s
 }
-
-// Scheme returns SchemeSP.
-func (s *SP) Scheme() Scheme { return SchemeSP }
-
-// NewThread registers a thread.
-func (s *SP) NewThread(id int, name string) *Thread {
-	return s.newThread(id, name)
-}
-
-// Resident reports whether t still has windows in the file.
-func (s *SP) Resident(t *Thread) bool { return t.HasWindows() }
 
 // Switch suspends the running thread in situ — relocating its PRW to
 // just above its stack-top, which frees its dead windows at no cost

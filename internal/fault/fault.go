@@ -62,9 +62,8 @@ func (k Kind) String() string {
 func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
 // GuestFault is a structured guest-triggerable failure raised by the
-// interpreter or the window machinery. The fast and slow interpreter
-// paths construct faults through the same helper, so their rendered
-// form is byte-identical — the differential tests rely on that.
+// interpreter (through isa's one guestFault helper) or by sched's
+// Env.Call, which refuses a save past the thread's save area.
 type GuestFault struct {
 	Kind   Kind   `json:"kind"`
 	Thread string `json:"thread,omitempty"` // guest thread name, "" when unknown

@@ -273,30 +273,35 @@ func TestRunReraisesManagerPanic(t *testing.T) {
 	}
 }
 
-// TestYieldDoesNotAllocate pins a dispatch at zero heap allocations
-// with the audit off: a thread's coroutine is made once, at its first
-// dispatch, and every later switch resumes it.
+// TestYieldDoesNotAllocate pins a dispatch at zero heap allocations,
+// with the audit off and armed: a thread's coroutine is made once, at
+// its first dispatch, every later switch resumes it, and the audit
+// after each switch walks the window file in place.
 func TestYieldDoesNotAllocate(t *testing.T) {
 	defer core.SetInvariantChecks(core.InvariantChecksEnabled())
-	core.SetInvariantChecks(false)
-	k := newKernel(core.SchemeSP, 8, FIFO)
-	var allocs float64
-	done := false
-	k.Spawn("measurer", func(e *Env) {
-		e.Yield() // the partner's coroutine exists from here on
-		allocs = testing.AllocsPerRun(100, e.Yield)
-		done = true
-	})
-	k.Spawn("partner", func(e *Env) {
-		for !done {
-			e.Yield()
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Errorf("a two-thread Env.Yield: %v allocations, want 0", allocs)
+	for _, audit := range []bool{false, true} {
+		t.Run(auditName(audit), func(t *testing.T) {
+			core.SetInvariantChecks(audit)
+			k := newKernel(core.SchemeSP, 8, FIFO)
+			var allocs float64
+			done := false
+			k.Spawn("measurer", func(e *Env) {
+				e.Yield() // the partner's coroutine exists from here on
+				allocs = testing.AllocsPerRun(100, e.Yield)
+				done = true
+			})
+			k.Spawn("partner", func(e *Env) {
+				for !done {
+					e.Yield()
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 0 {
+				t.Errorf("a two-thread Env.Yield: %v allocations, want 0", allocs)
+			}
+		})
 	}
 }
 

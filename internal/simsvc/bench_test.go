@@ -34,10 +34,12 @@ func benchSweep(b *testing.B, run harness.Runner) {
 }
 
 func BenchmarkSweepSerial(b *testing.B) {
+	benchWithoutAudit(b)
 	benchSweep(b, harness.RunSerial)
 }
 
 func BenchmarkSweepParallel(b *testing.B) {
+	benchWithoutAudit(b)
 	p := NewPool(PoolConfig{Workers: runtime.GOMAXPROCS(0)})
 	defer p.Close()
 	benchSweep(b, p.Runner())
@@ -47,6 +49,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 // actually runs in: the second and later sweeps of identical specs are
 // pure cache reads.
 func BenchmarkSweepParallelCached(b *testing.B) {
+	benchWithoutAudit(b)
 	cache, err := NewCache(0, "")
 	if err != nil {
 		b.Fatal(err)
@@ -69,6 +72,7 @@ func BenchmarkSweepParallelCached(b *testing.B) {
 //
 //	go test -run '^$' -bench BenchmarkServeHit -benchmem ./internal/simsvc
 func BenchmarkServeHit(b *testing.B) {
+	benchWithoutAudit(b)
 	cache, err := NewCache(0, "")
 	if err != nil {
 		b.Fatal(err)

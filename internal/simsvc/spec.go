@@ -66,8 +66,9 @@ type JobSpec struct {
 	Dict  int  `json:"dict,omitempty"`
 	Full  bool `json:"full,omitempty"`
 
-	// WindowList is the sweep range for figure experiments; empty
-	// means the paper's 4..32 sweep. Ignored by cells (use Windows).
+	// WindowList is the sweep range for figure experiments, each count
+	// at most once; empty means the paper's 4..32 sweep. Ignored by
+	// cells (use Windows).
 	WindowList []int `json:"window_list,omitempty"`
 
 	// Extension knobs (cells only; see core.Config).
@@ -196,10 +197,17 @@ func (s JobSpec) validate() error {
 	if _, ok := LookupExperiment(s.Experiment); !ok {
 		return fmt.Errorf("simsvc: unknown experiment %q", s.Experiment)
 	}
+	// A count may appear once, which bounds the list at the 255 legal
+	// counts: every entry is a full set of simulations.
+	var seen [regwin.MaxWindows + 1]bool
 	for _, n := range s.WindowList {
 		if n < 2 || n > regwin.MaxWindows {
 			return fmt.Errorf("simsvc: window count %d out of range 2..%d", n, regwin.MaxWindows)
 		}
+		if seen[n] {
+			return fmt.Errorf("simsvc: window count %d repeated in window_list", n)
+		}
+		seen[n] = true
 	}
 	return nil
 }

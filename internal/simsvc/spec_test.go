@@ -195,6 +195,7 @@ func TestValidate(t *testing.T) {
 		{Experiment: ExperimentCell, Scheme: "SP", Windows: 8, Behavior: "high-fine", Policy: "LIFO"},
 		{Experiment: ExperimentCell, Scheme: "SP", Windows: 8, Behavior: "medium-rare"},
 		{Experiment: "fig11", WindowList: []int{1}},
+		{Experiment: "fig11", WindowList: []int{4, 8, 4}},
 		// Sizes the corpus cannot generate, or that would make one
 		// request allocate without bound, are rejected for cells and
 		// named experiments alike.

@@ -74,7 +74,7 @@ func (c *Counters) Add(o *Counters) {
 }
 
 // Clone returns an independent copy of c (the SwitchCost histogram's
-// backing map is not shared).
+// value and count slices are not shared).
 func (c *Counters) Clone() Counters {
 	out := *c
 	out.SwitchCost = c.SwitchCost.Clone()
