@@ -24,7 +24,7 @@ import (
 func main() {
 	schemeFlag := flag.String("scheme", "SP", "window management scheme: NS, SNP or SP")
 	windows := flag.Int("windows", 8, fmt.Sprintf("number of register windows (%d..%d)", regwin.MinWindows, regwin.MaxWindows))
-	entry := flag.String("entry", "start", "entry label")
+	entry := flag.String("entry", "start", "entry label (a program without the default start: runs from its origin)")
 	list := flag.Bool("list", false, "print a disassembly listing and exit")
 	stats := flag.Bool("stats", false, "print window statistics")
 	traceN := flag.Int("trace", 0, "print the last N window-management events")
@@ -63,6 +63,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "asmrun: unknown scheme %q\n", *schemeFlag)
 		os.Exit(2)
 	}
+	// A program without start: runs from its origin, but an -entry
+	// given on the command line must name a label the program defines.
+	flag.Visit(func(f *flag.Flag) {
+		if _, ok := prog.Labels[*entry]; f.Name == "entry" && !ok {
+			fmt.Fprintf(os.Stderr, "asmrun: entry label %q not defined in %s\n", *entry, flag.Arg(0))
+			os.Exit(2)
+		}
+	})
 
 	m := cyclicwin.NewMachineOptions(scheme, *windows, cyclicwin.Options{TraceLimit: *traceN})
 	cpu, err := m.RunProgram(prog, *entry, *limit)

@@ -54,3 +54,30 @@ func TestWindowsOutOfRange(t *testing.T) {
 		t.Errorf("-windows 2: exit %d, stderr %q; want a clean run", code, stderr)
 	}
 }
+
+// TestUnknownEntryLabel pins that an -entry naming a label the program
+// does not define is a usage error (exit 2 naming the label), not a
+// silent run from the origin; left at its default, -entry still runs a
+// program without start: from its origin.
+func TestUnknownEntryLabel(t *testing.T) {
+	dir := t.TempDir()
+	prog := dir + "/prog.s"
+	src := "start:\n\tmov 7, %o0\n\tta 0\nother:\n\tmov 9, %o0\n\tta 0\n"
+	if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stderr := runMain(t, "-entry", "othr", prog)
+	if code != 2 || !strings.HasPrefix(stderr, `asmrun: entry label "othr" not defined`) {
+		t.Errorf("-entry othr: exit %d, stderr %q; want exit 2 naming the label", code, stderr)
+	}
+	if code, stderr := runMain(t, "-entry", "other", prog); code != 0 {
+		t.Errorf("-entry other: exit %d, stderr %q; want a clean run", code, stderr)
+	}
+	noStart := dir + "/nostart.s"
+	if err := os.WriteFile(noStart, []byte("\tmov 7, %o0\n\tta 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, stderr := runMain(t, noStart); code != 0 {
+		t.Errorf("default -entry without start:: exit %d, stderr %q; want a run from the origin", code, stderr)
+	}
+}

@@ -9,12 +9,12 @@
 // By default experiments run on a reduced workload; -full uses the
 // paper's exact input sizes (40,500-byte draft, 50,001-byte
 // dictionaries). Figure sweeps execute their cells concurrently on a
-// simsvc worker pool (-parallel=false forces the serial path; both
-// produce byte-identical output). With -cachedir, completed cells are
-// stored on disk and reused across invocations. With -trace FILE, every
-// cell records its window-management events and the run writes one
-// Chrome trace_event JSON file (open it in chrome://tracing or
-// Perfetto); tracing only observes, so the printed tables are
+// simsvc worker pool (-workers 1 runs them one at a time; the output is
+// byte-identical to a serial run either way). With -cachedir, completed
+// cells are stored on disk and reused across invocations. With -trace
+// FILE, every cell records its window-management events and the run
+// writes one Chrome trace_event JSON file (open it in chrome://tracing
+// or Perfetto); tracing only observes, so the printed tables are
 // unchanged.
 package main
 
@@ -43,8 +43,7 @@ func main() {
 	full := flag.Bool("full", false, "use the paper's full input sizes")
 	windowsFlag := flag.String("windows", "", "comma-separated window counts (default: the paper's sweep)")
 	csvDir := flag.String("csv", "", "also write figure data as CSV files into this directory")
-	parallel := flag.Bool("parallel", true, "run sweep cells concurrently on a worker pool")
-	workers := flag.Int("workers", 0, "pool size when -parallel (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker pool size for sweep cells (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cachedir", "", "reuse completed cells from this on-disk result store")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -118,12 +117,12 @@ func main() {
 		}
 	}
 
-	// The runner executes figure cells: serially in-process, or fanned
-	// out across a pool whose cache deduplicates cells shared between
-	// figures (fig11/fig12/fig13 reuse the same sweep). The watchdog
-	// and chaos flags force the serial path: their results must not be
-	// answered from (or stored into) a cache keyed without them.
-	runner := harness.RunSerial
+	// The runner fans figure cells out across a pool whose cache
+	// deduplicates cells shared between figures (fig11/fig12/fig13 reuse
+	// the same sweep). The watchdog and chaos flags force the serial
+	// path: their results must not be answered from (or stored into) a
+	// cache keyed without them.
+	var runner harness.Runner
 	var chrome *obs.ChromeTrace
 	if *traceOut != "" {
 		// Tracing forces the serial path too: one tracer per cell, one
@@ -131,10 +130,8 @@ func main() {
 		chrome = &obs.ChromeTrace{}
 	}
 	if *maxCycles > 0 || *faultSeed != 0 || chrome != nil {
-		*parallel = false
 		runner = serialRunner(*maxCycles, *faultSeed, chrome)
-	}
-	if *parallel {
+	} else {
 		cache, err := simsvc.NewCache(0, *cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "winsim: %v\n", err)

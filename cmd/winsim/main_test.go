@@ -33,16 +33,16 @@ func runMain(t *testing.T, args ...string) string {
 }
 
 // TestQuantumReachesSerialRunner pins that -quantum applies on the
-// serial runner -maxcycles selects: the figure must equal the one
-// -parallel=false prints, where -quantum always applied.
+// serial runner -maxcycles selects: the figure must equal the one the
+// worker pool prints, where -quantum always applied.
 func TestQuantumReachesSerialRunner(t *testing.T) {
 	base := []string{"-exp", "fig11", "-windows", "4", "-quantum", "200"}
 	budget := runMain(t, append(base, "-maxcycles", "100000000000")...)
-	serial := runMain(t, append(base, "-parallel=false")...)
-	if budget != serial {
-		t.Fatalf("-quantum 200 with -maxcycles printed\n%s\nwith -parallel=false\n%s", budget, serial)
+	pooled := runMain(t, base...)
+	if budget != pooled {
+		t.Fatalf("-quantum 200 with -maxcycles printed\n%s\nthrough the pool\n%s", budget, pooled)
 	}
-	if plain := runMain(t, "-exp", "fig11", "-windows", "4", "-parallel=false"); plain == serial {
+	if plain := runMain(t, "-exp", "fig11", "-windows", "4"); plain == pooled {
 		t.Fatal("-quantum 200 left the figure unchanged; the test cannot tell whether it was applied")
 	}
 }
@@ -53,7 +53,7 @@ func TestQuantumReachesSerialRunner(t *testing.T) {
 // working-set figure, so FIFO changes it).
 func TestPolicyFlagAnyCase(t *testing.T) {
 	args := func(policy string) []string {
-		return []string{"-exp", "fig15", "-windows", "4", "-parallel=false", "-policy", policy}
+		return []string{"-exp", "fig15", "-windows", "4", "-policy", policy}
 	}
 	upper := runMain(t, args("WS")...)
 	if lower := runMain(t, args("ws")...); lower != upper {

@@ -5,12 +5,12 @@
 // Usage:
 //
 //	winsimd [-addr :8091] [-workers N] [-cachedir DIR] [-cachesize N]
-//	        [-timeout 10m] [-maxqueue 256] [-clientqueue N] [-maxqueuecost N]
-//	        [-reqtimeout 2m] [-drain 30s] [-pprof]
+//	        [-timeout 10m] [-maxqueue 256] [-reqtimeout 2m] [-drain 30s] [-pprof]
 //
 // One process serves everything: a named experiment runs its sweep
 // cells on one worker through the shared cache, and concurrent jobs
-// spread across the workers.
+// spread across the workers. -maxqueue is the one admission bound: a
+// submission that would queue beyond it gets 429 with Retry-After.
 //
 // Endpoints:
 //
@@ -52,8 +52,6 @@ func main() {
 	cacheSize := flag.Int("cachesize", 0, "in-memory cache entries (0 = default)")
 	timeout := flag.Duration("timeout", 10*time.Minute, "per-job execution timeout (0 = none)")
 	maxQueue := flag.Int("maxqueue", 256, "queued-job bound; submissions beyond it get 429 (0 = unbounded)")
-	clientQueue := flag.Int("clientqueue", 0, "per-client queued-job share, keyed by the X-Client-ID header; over-share submissions get 429 (0 = off)")
-	maxQueueCost := flag.Uint64("maxqueuecost", 0, "summed cost-estimate bound over the queue (threads x windows x text length); jobs whose estimate would exceed it get 429 (0 = off)")
 	reqTimeout := flag.Duration("reqtimeout", 2*time.Minute, "per-request deadline, including ?wait=1 blocking (0 = none)")
 	drainFor := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight jobs")
 	enablePprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -65,12 +63,10 @@ func main() {
 	}
 
 	pool := simsvc.NewPool(simsvc.PoolConfig{
-		Workers:        *workers,
-		JobTimeout:     *timeout,
-		MaxQueue:       *maxQueue,
-		PerClientQueue: *clientQueue,
-		MaxQueueCost:   *maxQueueCost,
-		Cache:          cache,
+		Workers:    *workers,
+		JobTimeout: *timeout,
+		MaxQueue:   *maxQueue,
+		Cache:      cache,
 	})
 
 	api := simsvc.NewServer(pool)

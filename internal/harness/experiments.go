@@ -24,7 +24,6 @@ var ThreadNames = [7]string{
 type Table1 struct {
 	Sizes       Sizes
 	Suspensions map[string][7]uint64 // by behaviour name
-	Saves       map[string]uint64    // per thread name (constant across behaviours)
 	TotalSaves  uint64
 }
 
@@ -32,7 +31,7 @@ type Table1 struct {
 // windows; Table 1's numbers are scheme-independent, which
 // TestTable1SchemeIndependence pins.
 func RunTable1(sz Sizes) Table1 {
-	t1 := Table1{Sizes: sz, Suspensions: map[string][7]uint64{}, Saves: map[string]uint64{}}
+	t1 := Table1{Sizes: sz, Suspensions: map[string][7]uint64{}}
 	for _, b := range Behaviors {
 		r := CellSpec{Scheme: core.SchemeSP, Windows: 32, Policy: sched.FIFO, Behavior: b, Sizes: sz}.Run()
 		t1.Suspensions[b.Name] = r.ThreadSuspensions

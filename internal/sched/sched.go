@@ -240,8 +240,6 @@ type Kernel struct {
 	// charge, or a stream operation) if another thread is ready.
 	quantum    uint64
 	dispatched uint64 // clock reading at the last dispatch
-	// Preemptions counts quantum-expiry switches.
-	Preemptions uint64
 }
 
 // NewKernel returns a kernel scheduling threads onto mgr's windows under
@@ -666,14 +664,12 @@ func (k *Kernel) maybePreempt() {
 }
 
 // pollPreempt is maybePreempt's slow path: somebody is ready and a
-// quantum is armed. An expired quantum books one preemption — on the
-// kernel and on the current core's counters, where it reaches
-// /metrics — and yields.
+// quantum is armed. An expired quantum books one preemption on the
+// current core's counters, where it reaches /metrics, and yields.
 func (k *Kernel) pollPreempt() {
 	if k.current == nil || k.cyc.Total()-k.dispatched < k.quantum {
 		return
 	}
-	k.Preemptions++
 	k.mgr.Counters().Preemptions++
 	k.yieldCurrent()
 }

@@ -369,7 +369,7 @@ func TestPreemptionQuantum(t *testing.T) {
 		}
 	})
 	k.Run()
-	if k.Preemptions == 0 {
+	if k.TotalCounters().Preemptions == 0 {
 		t.Fatal("no preemptions with a 100-cycle quantum")
 	}
 	// The peer must have run before the hog finished.
@@ -394,8 +394,8 @@ func TestNoPreemptionByDefault(t *testing.T) {
 	if ran != "hp" {
 		t.Errorf("order = %q; without a quantum the hog must run to completion first", ran)
 	}
-	if k.Preemptions != 0 {
-		t.Errorf("preemptions = %d without a quantum", k.Preemptions)
+	if n := k.TotalCounters().Preemptions; n != 0 {
+		t.Errorf("preemptions = %d without a quantum", n)
 	}
 }
 
@@ -420,7 +420,7 @@ func TestPreemptionPreservesRegisters(t *testing.T) {
 			if got1 != 233 || got2 != 144 {
 				t.Errorf("fib results %d, %d under preemption; want 233, 144", got1, got2)
 			}
-			if k.Preemptions == 0 {
+			if k.TotalCounters().Preemptions == 0 {
 				t.Error("no preemptions occurred")
 			}
 		})

@@ -174,7 +174,7 @@ func TestQuantumHonouredAtCallEntry(t *testing.T) {
 	if got := fmt.Sprint(order); got != want {
 		t.Errorf("order = %v, want %v (no preemption at the call entry edge)", got, want)
 	}
-	if k.Preemptions == 0 {
+	if k.TotalCounters().Preemptions == 0 {
 		t.Error("no preemption counted")
 	}
 }
@@ -199,7 +199,7 @@ func TestQuantumHonouredAtReturnEdge(t *testing.T) {
 	if got := fmt.Sprint(order); got != fmt.Sprint([]string{"p", "h", "h", "h"}) {
 		t.Errorf("order = %v; the first Call's return edge must yield to the peer", order)
 	}
-	if k.Preemptions == 0 {
+	if k.TotalCounters().Preemptions == 0 {
 		t.Error("no preemption counted")
 	}
 }

@@ -3,7 +3,6 @@ package simsvc
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 )
 
@@ -15,8 +14,9 @@ var (
 	// watchdog: the simulation exceeded PoolConfig.JobTimeout.
 	ErrTimeout = errors.New("simsvc: job timed out")
 	// ErrPoolSaturated marks a submission rejected because the queue
-	// already holds PoolConfig.MaxQueue jobs. The work was NOT
-	// enqueued; retry after backing off.
+	// already holds PoolConfig.MaxQueue jobs. The rejected spec was NOT
+	// enqueued, but in a batch the specs submitted before it were;
+	// retry after backing off.
 	ErrPoolSaturated = errors.New("simsvc: pool saturated")
 	// ErrGuestFault marks a simulation that failed deterministically
 	// inside the guest: a typed guest fault, a deadlock diagnostic or a
@@ -24,34 +24,6 @@ var (
 	// the identical way.
 	ErrGuestFault = errors.New("simsvc: guest fault")
 )
-
-// The admission-tier rejections wrap ErrPoolSaturated: both are "back
-// off and retry" conditions (429) to a generic client, while clients
-// that care can errors.Is for the specific tier.
-var (
-	// ErrClientQuota marks a submission rejected by the per-client
-	// fairness tier: this client already holds PoolConfig.PerClientQueue
-	// queued jobs. Other clients are still being admitted.
-	ErrClientQuota = fmt.Errorf("%w: client queue share exhausted", ErrPoolSaturated)
-	// ErrCostShed marks a submission rejected by the cost-aware tier:
-	// its JobSpec.EstimateCost would push the queued total past
-	// PoolConfig.MaxQueueCost. Cheaper jobs may still be admitted.
-	ErrCostShed = fmt.Errorf("%w: estimated job cost over queue budget", ErrPoolSaturated)
-)
-
-// shedReasonOf classifies a saturation error into the 429 taxonomy the
-// server surfaces via the X-Shed-Reason header and winsimd metrics.
-func shedReasonOf(err error) (ShedReason, bool) {
-	switch {
-	case errors.Is(err, ErrClientQuota):
-		return ShedClientQuota, true
-	case errors.Is(err, ErrCostShed):
-		return ShedCost, true
-	case errors.Is(err, ErrPoolSaturated):
-		return ShedQueueFull, true
-	}
-	return 0, false
-}
 
 // statusCodeOf maps a pool or job error onto the HTTP status the API
 // serves for it. The classes are deliberately distinct so clients can

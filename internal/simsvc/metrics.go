@@ -8,35 +8,6 @@ import (
 	"cyclicwin/internal/stats"
 )
 
-// ShedReason classifies a rejected submission for the 429 taxonomy:
-// the bounded queue was full, the client exhausted its fairness share,
-// or the cost-aware admission bound would be exceeded.
-type ShedReason int
-
-const (
-	// ShedQueueFull is the original MaxQueue bound.
-	ShedQueueFull ShedReason = iota
-	// ShedClientQuota is the per-client fairness bucket
-	// (PoolConfig.PerClientQueue).
-	ShedClientQuota
-	// ShedCost is the cost-aware bound (PoolConfig.MaxQueueCost):
-	// admitting the job's estimated cost would exceed it.
-	ShedCost
-)
-
-// String names the reason as exposed in the X-Shed-Reason header and
-// the winsimd_admission_rejects_total reason label.
-func (r ShedReason) String() string {
-	switch r {
-	case ShedClientQuota:
-		return "client_quota"
-	case ShedCost:
-		return "cost"
-	default:
-		return "queue_full"
-	}
-}
-
 // jobStats is the pool's job accounting. Every field is guarded by
 // Pool.mu and written in the critical section that already moves a job
 // through its lifecycle (admission, dequeue, finish), so a copy taken
@@ -46,7 +17,7 @@ type jobStats struct {
 	accepted, queued, running, done, failed, canceled uint64
 	cached                                            uint64 // subset of done answered by the cache
 	panics                                            uint64
-	shed                                              [ShedCost + 1]uint64 // by ShedReason
+	shed                                              uint64 // submissions refused by MaxQueue
 
 	// latency holds job latencies in nanoseconds rounded up by
 	// latencyBucket; latSum and latMax stay exact beside it.
@@ -129,15 +100,14 @@ func (a *simAgg) snapshot() map[string]SimSnapshot {
 	return out
 }
 
-// snapshot copies the job accounting and the admission gauges under
-// p.mu once and derives the JSON snapshot outside the lock. The copy
-// is returned too, so a Prometheus scrape renders its histogram from
-// the same instant as its counters.
+// snapshot copies the job accounting under p.mu once and derives the
+// JSON snapshot outside the lock. The copy is returned too, so a
+// Prometheus scrape renders its histogram from the same instant as its
+// counters.
 func (p *Pool) snapshot() (MetricsSnapshot, jobStats) {
 	p.mu.Lock()
 	a := p.acct
 	a.latency = a.latency.Clone()
-	queueCost, clients := p.queueCost, len(p.clientQueued)
 	p.mu.Unlock()
 
 	cs := p.cfg.Cache.Stats()
@@ -147,25 +117,19 @@ func (p *Pool) snapshot() (MetricsSnapshot, jobStats) {
 	// exact max is kept aside.
 	quantileMS := func(q float64) float64 { return float64(min(a.latency.Quantile(q), a.latMax)) / 1e6 }
 	s := MetricsSnapshot{
-		JobsAccepted:    a.accepted,
-		JobsQueued:      a.queued,
-		JobsRunning:     a.running,
-		JobsDone:        a.done,
-		JobsFailed:      a.failed,
-		JobsCanceled:    a.canceled,
-		JobsCached:      a.cached,
-		JobsShed:        a.shed[ShedQueueFull] + a.shed[ShedClientQuota] + a.shed[ShedCost],
-		ShedQueueFull:   a.shed[ShedQueueFull],
-		ShedClientQuota: a.shed[ShedClientQuota],
-		ShedCost:        a.shed[ShedCost],
-		PanicsTotal:     a.panics,
+		JobsAccepted: a.accepted,
+		JobsQueued:   a.queued,
+		JobsRunning:  a.running,
+		JobsDone:     a.done,
+		JobsFailed:   a.failed,
+		JobsCanceled: a.canceled,
+		JobsCached:   a.cached,
+		JobsShed:     a.shed,
+		PanicsTotal:  a.panics,
 
 		Workers:         workers,
 		BusyWorkers:     int(a.running),
 		PoolUtilization: float64(a.running) / float64(workers),
-
-		QueueCost:     queueCost,
-		ActiveClients: clients,
 
 		CacheEntries:   cs.Entries,
 		CacheHits:      cs.Hits,
@@ -197,18 +161,9 @@ type MetricsSnapshot struct {
 	JobsShed     uint64 `json:"jobs_shed"`
 	PanicsTotal  uint64 `json:"panics_total"`
 
-	// The 429 taxonomy: JobsShed split by admission tier.
-	ShedQueueFull   uint64 `json:"shed_queue_full"`
-	ShedClientQuota uint64 `json:"shed_client_quota"`
-	ShedCost        uint64 `json:"shed_cost"`
-
 	Workers         int     `json:"workers"`
 	BusyWorkers     int     `json:"busy_workers"`
 	PoolUtilization float64 `json:"pool_utilization"` // busy / workers
-
-	// Admission state, from the queue bookkeeping.
-	QueueCost     uint64 `json:"queue_cost"`
-	ActiveClients int    `json:"active_clients"`
 
 	CacheEntries   int     `json:"cache_entries"`
 	CacheHits      uint64  `json:"cache_hits"`

@@ -40,11 +40,6 @@ type Job struct {
 	// fields above it is set before the job is published.
 	cacheHit bool
 
-	// client and cost are the admission-control bookkeeping captured
-	// at submit.
-	client string
-	cost   uint64
-
 	mu        sync.Mutex
 	status    Status
 	result    *JobResult
@@ -182,30 +177,15 @@ type PoolConfig struct {
 	// means unbounded. A submission beyond the bound is rejected with
 	// ErrPoolSaturated instead of growing the queue without limit.
 	MaxQueue int
-	// PerClientQueue bounds how many queued jobs any single client (as
-	// identified by SubmitFrom / the X-Client-ID header) may hold; 0
-	// disables the fairness tier. A submission beyond the share is
-	// rejected with ErrClientQuota (a 429) while other clients keep
-	// being admitted — one chatty client cannot monopolize the queue.
-	// Anonymous submissions (empty client ID) are exempt.
-	PerClientQueue int
-	// MaxQueueCost bounds the summed estimated cost
-	// (JobSpec.EstimateCost: threads x windows x text length) of the
-	// queued jobs; 0 disables the tier. A submission whose estimate
-	// would push the queue past the bound is rejected with ErrCostShed,
-	// so a burst of huge full-size sweeps saturates admission long
-	// before it saturates the workers — while cheap cells keep flowing
-	// as long as their small estimates still fit.
-	MaxQueueCost uint64
 	// Cache, when non-nil, answers repeated specs without re-running
 	// and stores every completed result.
 	Cache *Cache
 }
 
-// Pool executes jobs on a fixed set of workers with an unbounded FIFO
-// queue. Identical specs submitted while one is in flight coalesce
-// onto the same Job; identical specs submitted after completion are
-// answered by the cache.
+// Pool executes jobs on a fixed set of workers with a FIFO queue,
+// bounded by MaxQueue when set. Identical specs submitted while one is
+// in flight coalesce onto the same Job; identical specs submitted after
+// completion are answered by the cache.
 type Pool struct {
 	cfg  PoolConfig
 	sims simAgg
@@ -227,12 +207,6 @@ type Pool struct {
 	oldest, newest *Job
 	retired        int
 
-	// Admission bookkeeping over the queued jobs (guarded by mu, like
-	// the queue itself): per-client queued counts and the summed cost
-	// estimate of everything waiting.
-	clientQueued map[string]int
-	queueCost    uint64
-
 	// acct is the job accounting (guarded by mu); see jobStats.
 	acct jobStats
 
@@ -247,12 +221,11 @@ func NewPool(cfg PoolConfig) *Pool {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pool{
-		cfg:          cfg,
-		ctx:          ctx,
-		cancel:       cancel,
-		byID:         make(map[string]*Job),
-		inflight:     make(map[string]*Job),
-		clientQueued: make(map[string]int),
+		cfg:      cfg,
+		ctx:      ctx,
+		cancel:   cancel,
+		byID:     make(map[string]*Job),
+		inflight: make(map[string]*Job),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < cfg.Workers; i++ {
@@ -269,18 +242,11 @@ func (p *Pool) Cache() *Cache { return p.cfg.Cache }
 func (p *Pool) Workers() int { return p.cfg.Workers }
 
 // Metrics returns a point-in-time snapshot of pool and cache counters:
-// the job counters and admission gauges are copied in one critical
-// section, and quantiles are computed after it.
+// the job counters are copied in one critical section, and quantiles
+// are computed after it.
 func (p *Pool) Metrics() MetricsSnapshot {
 	s, _ := p.snapshot()
 	return s
-}
-
-// Submit validates and enqueues a spec. A cached result returns an
-// already-terminal job; a spec identical to one still in flight
-// returns that in-flight job instead of queueing a duplicate.
-func (p *Pool) Submit(spec JobSpec) (*Job, error) {
-	return p.SubmitFrom("", spec)
 }
 
 // jobID renders a job sequence number as Sprintf("j%06d", seq) does
@@ -297,11 +263,12 @@ func jobID(seq int) string {
 	return string(buf[i:])
 }
 
-// SubmitFrom is Submit with a client identity for the per-client
-// admission tier: the server passes the X-Client-ID header through so
-// each client's share of the queue can be bounded independently. An
-// empty client is anonymous and exempt from the fairness tier.
-func (p *Pool) SubmitFrom(client string, spec JobSpec) (*Job, error) {
+// Submit validates and enqueues a spec. A cached result returns an
+// already-terminal job; a spec identical to one still in flight
+// returns that in-flight job instead of queueing a duplicate. With
+// MaxQueue set, a spec that would queue beyond it is rejected with
+// ErrPoolSaturated.
+func (p *Pool) Submit(spec JobSpec) (*Job, error) {
 	t0 := time.Now()
 	spec = spec.Normalize()
 	if err := spec.validate(); err != nil {
@@ -342,9 +309,7 @@ func (p *Pool) SubmitFrom(client string, spec JobSpec) (*Job, error) {
 		return j, nil
 	}
 
-	cost := spec.EstimateCost()
-	j := &Job{id: id, hash: hash, spec: spec, status: StatusQueued, submitted: time.Now(), done: make(chan struct{}),
-		client: client, cost: cost}
+	j := &Job{id: id, hash: hash, spec: spec, status: StatusQueued, submitted: time.Now(), done: make(chan struct{})}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -356,34 +321,14 @@ func (p *Pool) SubmitFrom(client string, spec JobSpec) (*Job, error) {
 		p.mu.Unlock()
 		return q, nil
 	}
-	// Admission tiers, cheapest-to-most-specific: global queue bound,
-	// per-client fairness share, cost-aware estimate. Each rejection is
-	// a distinct 429 class so clients and dashboards can tell "the
-	// service is full", "you are over your share" and "your job is too
-	// expensive right now" apart.
 	if p.cfg.MaxQueue > 0 && len(p.queue) >= p.cfg.MaxQueue {
-		p.acct.shed[ShedQueueFull]++
+		p.acct.shed++
 		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: queue full (%d jobs waiting)", ErrPoolSaturated, p.cfg.MaxQueue)
-	}
-	if p.cfg.PerClientQueue > 0 && client != "" && p.clientQueued[client] >= p.cfg.PerClientQueue {
-		p.acct.shed[ShedClientQuota]++
-		p.mu.Unlock()
-		return nil, fmt.Errorf("%w (client %q already holds %d queued jobs)", ErrClientQuota, client, p.cfg.PerClientQueue)
-	}
-	if p.cfg.MaxQueueCost > 0 && p.queueCost+cost > p.cfg.MaxQueueCost {
-		p.acct.shed[ShedCost]++
-		p.mu.Unlock()
-		return nil, fmt.Errorf("%w (estimated cost %d over remaining budget %d)",
-			ErrCostShed, cost, p.cfg.MaxQueueCost-p.queueCost)
 	}
 	p.byID[id] = j
 	p.inflight[hash] = j
 	p.queue = append(p.queue, j)
-	if client != "" {
-		p.clientQueued[client]++
-	}
-	p.queueCost += cost
 	p.jobWG.Add(1)
 	p.acct.accepted++
 	p.acct.queued++
@@ -429,15 +374,6 @@ func (p *Pool) worker() {
 		}
 		j := p.queue[0]
 		p.queue = p.queue[1:]
-		// The admission gauges cover queued work only: once a job is
-		// handed to a worker it has left the queue, so its client and
-		// cost slots free up for new submissions immediately.
-		if j.client != "" {
-			if p.clientQueued[j.client]--; p.clientQueued[j.client] <= 0 {
-				delete(p.clientQueued, j.client)
-			}
-		}
-		p.queueCost -= j.cost
 		p.acct.queued--
 		p.acct.running++
 		p.mu.Unlock()

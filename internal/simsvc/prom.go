@@ -46,15 +46,6 @@ func (p *Pool) WritePrometheus(w io.Writer) error {
 	pw.Header("winsimd_panics_total", "Simulation panics caught by the worker recovery barrier.", "counter")
 	pw.Sample("winsimd_panics_total", nil, float64(snap.PanicsTotal))
 
-	pw.Header("winsimd_admission_rejects_total", "Submissions rejected by the admission tiers, by reason.", "counter")
-	pw.Sample("winsimd_admission_rejects_total", obs.L("reason", ShedQueueFull.String()), float64(snap.ShedQueueFull))
-	pw.Sample("winsimd_admission_rejects_total", obs.L("reason", ShedClientQuota.String()), float64(snap.ShedClientQuota))
-	pw.Sample("winsimd_admission_rejects_total", obs.L("reason", ShedCost.String()), float64(snap.ShedCost))
-	pw.Header("winsimd_queue_cost", "Summed cost estimate (threads x windows x text length) of the queued jobs.", "gauge")
-	pw.Sample("winsimd_queue_cost", nil, float64(snap.QueueCost))
-	pw.Header("winsimd_admission_clients", "Distinct clients currently holding queued jobs.", "gauge")
-	pw.Sample("winsimd_admission_clients", nil, float64(snap.ActiveClients))
-
 	pw.Header("winsimd_cache_entries", "Entries resident in the in-memory result cache.", "gauge")
 	pw.Sample("winsimd_cache_entries", nil, float64(snap.CacheEntries))
 	pw.Header("winsimd_cache_hits_total", "Cache hits by tier.", "counter")

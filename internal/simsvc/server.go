@@ -76,14 +76,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// ClientIDHeader names the submitting client for the per-client
-// admission tier (PoolConfig.PerClientQueue). Absent means anonymous.
-const ClientIDHeader = "X-Client-ID"
-
-// ShedReasonHeader reports which admission tier rejected a 429'd
-// submission: queue_full, client_quota or cost.
-const ShedReasonHeader = "X-Shed-Reason"
-
 // ChecksumHeader carries the hex SHA-256 of a JSON response body.
 // Every JSON response attaches it, so a client can tell a body
 // corrupted in flight from a plausible-but-wrong result before it
@@ -211,23 +203,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The client identity for the per-client admission tier; absent
-	// header means anonymous, which the fairness tier exempts.
-	client := r.Header.Get(ClientIDHeader)
-
+	// Validate the whole batch before submitting any of it, so a 400
+	// leaves nothing queued.
+	for i, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("spec %d: %w", i, err))
+			return
+		}
+	}
 	jobs := make([]*Job, len(specs))
 	for i, spec := range specs {
-		j, err := s.pool.SubmitFrom(client, spec)
+		j, err := s.pool.Submit(spec)
 		if err != nil {
-			if reason, shed := shedReasonOf(err); shed {
-				// Load shedding: tell the client when to come back and
-				// which admission tier turned it away.
+			code := http.StatusBadRequest
+			if errors.Is(err, ErrPoolSaturated) {
+				// Load shedding: tell the client when to come back. The
+				// specs before this one stay queued.
 				w.Header().Set("Retry-After", "1")
-				w.Header().Set(ShedReasonHeader, reason.String())
-				writeError(w, http.StatusTooManyRequests, fmt.Errorf("spec %d: %w", i, err))
-				return
+				code = http.StatusTooManyRequests
 			}
-			writeError(w, http.StatusBadRequest, fmt.Errorf("spec %d: %w", i, err))
+			writeError(w, code, fmt.Errorf("spec %d: %w", i, err))
 			return
 		}
 		jobs[i] = j

@@ -201,6 +201,22 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestServerRejectedBatchQueuesNothing pins that a batch is validated
+// whole before any of it is submitted: a bad spec after a good one
+// answers 400 without the pool accepting the good one.
+func TestServerRejectedBatchQueuesNothing(t *testing.T) {
+	ts, p := testServer(t)
+	good := `{"experiment":"cell","scheme":"SP","windows":6,"behavior":"high-fine","draft":600,"dict":901}`
+	bad := strings.Replace(good, `"SP"`, `"XX"`, 1)
+	resp, raw := postJSON(t, ts.URL+"/v1/jobs", `{"specs":[`+good+`,`+bad+`]}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%s), want 400", resp.StatusCode, raw)
+	}
+	if m := p.Metrics(); m.JobsAccepted != 0 {
+		t.Errorf("JobsAccepted = %d after a rejected batch, want 0", m.JobsAccepted)
+	}
+}
+
 func TestServerJobNotFound(t *testing.T) {
 	ts, _ := testServer(t)
 	resp, err := http.Get(ts.URL + "/v1/jobs/j999999")

@@ -3,12 +3,10 @@ package simsvc
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,174 +187,6 @@ func TestCacheGetCancelledContext(t *testing.T) {
 	c.Put("k1", want)
 	if v, ok := c.Get(ctx, "k1"); !ok || v != want {
 		t.Fatalf("a cancelled Get missed the in-memory tier: (%+v, %v)", v, ok)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Admission tiers.
-
-func TestAdmissionPerClientQuota(t *testing.T) {
-	block := make(chan struct{})
-	setHook(t, func(spec JobSpec) (*JobResult, error) {
-		<-block
-		return &JobResult{Spec: spec}, nil
-	})
-	defer close(block)
-	p := testPool(t, PoolConfig{Workers: 1, PerClientQueue: 2})
-
-	spec := func(mc uint64) JobSpec {
-		return JobSpec{Experiment: ExperimentCell, Scheme: "NS", Windows: 4, Behavior: "high-fine",
-			Draft: testSizes.Draft, Dict: testSizes.Dict, MaxCycles: mc}
-	}
-	// The worker absorbs the first job; wait for the dequeue so the next
-	// two fill alice's share exactly.
-	if _, err := p.SubmitFrom("alice", spec(1)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Metrics().JobsRunning != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first job never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for mc := uint64(2); mc <= 3; mc++ {
-		if _, err := p.SubmitFrom("alice", spec(mc)); err != nil {
-			t.Fatalf("submission %d: %v", mc, err)
-		}
-	}
-
-	_, err := p.SubmitFrom("alice", spec(4))
-	if !errors.Is(err, ErrClientQuota) {
-		t.Fatalf("over-share submission: err = %v, want ErrClientQuota", err)
-	}
-	if !errors.Is(err, ErrPoolSaturated) {
-		t.Fatal("ErrClientQuota must wrap ErrPoolSaturated for the generic 429 mapping")
-	}
-	// Another client is still admitted.
-	if _, err := p.SubmitFrom("bob", spec(5)); err != nil {
-		t.Fatalf("other client rejected: %v", err)
-	}
-	// Anonymous submissions are exempt.
-	if _, err := p.Submit(spec(6)); err != nil {
-		t.Fatalf("anonymous submission rejected: %v", err)
-	}
-
-	m := p.Metrics()
-	if m.ShedClientQuota != 1 {
-		t.Errorf("ShedClientQuota = %d, want 1", m.ShedClientQuota)
-	}
-	if m.ActiveClients != 2 {
-		t.Errorf("ActiveClients = %d, want 2 (alice, bob)", m.ActiveClients)
-	}
-}
-
-func TestAdmissionCostShedding(t *testing.T) {
-	block := make(chan struct{})
-	setHook(t, func(spec JobSpec) (*JobResult, error) {
-		<-block
-		return &JobResult{Spec: spec}, nil
-	})
-	defer close(block)
-
-	small := JobSpec{Experiment: ExperimentCell, Scheme: "NS", Windows: 4, Behavior: "high-fine",
-		Draft: testSizes.Draft, Dict: testSizes.Dict}
-	big := small
-	big.Windows = 32
-	big.MaxCycles = 7 // distinct hash
-	if small.EstimateCost() >= big.EstimateCost() {
-		t.Fatalf("cost model: small %d !< big %d", small.EstimateCost(), big.EstimateCost())
-	}
-
-	// Budget: the worker absorbs one job, then one small job fits in the
-	// queue but a big one does not.
-	p := testPool(t, PoolConfig{Workers: 1, MaxQueueCost: 2 * small.EstimateCost()})
-	first := small
-	first.MaxCycles = 1
-	if _, err := p.SubmitFrom("", first); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Metrics().JobsRunning != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first job never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	second := small
-	second.MaxCycles = 2
-	if _, err := p.SubmitFrom("", second); err != nil {
-		t.Fatalf("small job within budget rejected: %v", err)
-	}
-	_, err := p.SubmitFrom("", big)
-	if !errors.Is(err, ErrCostShed) {
-		t.Fatalf("over-budget submission: err = %v, want ErrCostShed", err)
-	}
-	m := p.Metrics()
-	if m.ShedCost != 1 {
-		t.Errorf("ShedCost = %d, want 1", m.ShedCost)
-	}
-	if m.QueueCost != second.EstimateCost() {
-		t.Errorf("QueueCost = %d, want %d (the one queued job)", m.QueueCost, second.EstimateCost())
-	}
-}
-
-// TestShedReasonHeader pins the HTTP surface of the 429 taxonomy.
-func TestShedReasonHeader(t *testing.T) {
-	block := make(chan struct{})
-	setHook(t, func(spec JobSpec) (*JobResult, error) {
-		<-block
-		return &JobResult{Spec: spec}, nil
-	})
-	defer close(block)
-	p := testPool(t, PoolConfig{Workers: 1, PerClientQueue: 1})
-	srv := httptest.NewServer(NewServer(p))
-	defer srv.Close()
-
-	submit := func(client string, mc int) *http.Response {
-		body := fmt.Sprintf(`{"experiment":"cell","scheme":"NS","windows":4,"behavior":"high-fine","draft":%d,"dict":%d,"max_cycles":%d}`,
-			testSizes.Draft, testSizes.Dict, mc)
-		req, err := http.NewRequest("POST", srv.URL+"/v1/jobs", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if client != "" {
-			req.Header.Set(ClientIDHeader, client)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	resp := submit("carol", 1)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submission: status %d, want 202", resp.StatusCode)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Metrics().JobsRunning != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first job never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	resp = submit("carol", 2)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("second submission (fills the share): status %d, want 202", resp.StatusCode)
-	}
-	resp = submit("carol", 3)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-share submission: status %d, want 429", resp.StatusCode)
-	}
-	if got := resp.Header.Get(ShedReasonHeader); got != "client_quota" {
-		t.Errorf("%s = %q, want %q", ShedReasonHeader, got, "client_quota")
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
 	}
 }
 

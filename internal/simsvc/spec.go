@@ -283,39 +283,6 @@ func (s JobSpec) Sizes() harness.Sizes {
 	return harness.Sizes{Draft: n.Draft, Dict: n.Dict}
 }
 
-// EstimateCost is the admission-control size estimate of the job:
-// threads x windows x text length, the quantities that drive simulated
-// work. It is deliberately a unit-free heuristic — only ratios between
-// jobs matter to the cost-aware shedding tier — and it is computed from
-// the spec alone, before anything runs. The spell workload always
-// schedules 7 threads; a named experiment multiplies by its window
-// sweep and by the number of cells it renders (approximated by the
-// scheme count), so a full-size figure estimates ~3 orders above a
-// quick cell, matching their real cost gap.
-func (s JobSpec) EstimateCost() uint64 {
-	n := s.Normalize()
-	text := uint64(n.Draft + n.Dict)
-	if text == 0 {
-		text = 1
-	}
-	threads := uint64(7) // the spell workload always schedules 7
-	if n.Threads > 0 {
-		threads = uint64(n.Threads)
-	}
-	if n.Experiment == ExperimentCell {
-		return threads * uint64(n.Windows) * text
-	}
-	var windows uint64
-	for _, w := range n.WindowList {
-		windows += uint64(w)
-	}
-	if windows == 0 {
-		windows = 1
-	}
-	const schemes = 3 // NS, SNP, SP sweeps per figure
-	return schemes * threads * windows * text
-}
-
 // CellSpec converts a harness sweep cell into its canonical job spec.
 func CellSpec(c harness.CellSpec) JobSpec {
 	return JobSpec{

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # smoke_winsimd.sh — end-to-end observability and serving smoke test.
 #
-# Boots winsimd with all three admission tiers armed, submits a traced
+# Boots winsimd with its queue bound (-maxqueue) set, submits a traced
 # cell job twice (the second answered by the result cache), then
 # verifies the observability surfaces this repository exposes:
 #   1. GET /metrics serves parseable Prometheus text exposition that
 #      includes the per-scheme window-trap counters, the switch-cost
-#      histogram, and the admission, queue-cost and cache families.
+#      histogram, the shed-job count and the cache families.
 #   2. The JSON snapshot counts the cached job, records a nonzero
 #      latency p50 and conserves jobs: accepted == queued + running +
 #      done + failed + canceled.
@@ -50,8 +50,8 @@ echo "== build =="
 go build -o "$TMP/winsimd" ./cmd/winsimd
 go build -o "$TMP/winsim" ./cmd/winsim
 
-echo "== boot winsimd on $ADDR with admission tiers armed =="
-"$TMP/winsimd" -addr "$ADDR" -workers 2 -maxqueue 512 -clientqueue 256 -maxqueuecost 2000000000 &
+echo "== boot winsimd on $ADDR with the queue bound set =="
+"$TMP/winsimd" -addr "$ADDR" -workers 2 -maxqueue 512 &
 SERVER_PID=$!
 for i in $(seq 1 50); do
   if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
@@ -88,12 +88,9 @@ grep -q '^winsim_switch_cost_cycles_bucket{scheme="SP",le="+Inf"}' "$TMP/metrics
 grep -q '^winsim_switch_cost_cycles_count{scheme="SP"}' "$TMP/metrics.prom"
 echo "exposition contains trap counters and switch-cost histogram"
 grep -q '^# TYPE winsimd_jobs_cached_total counter$' "$TMP/metrics.prom"
-grep -q '^winsimd_admission_rejects_total{reason="queue_full"}' "$TMP/metrics.prom"
-grep -q '^winsimd_admission_rejects_total{reason="client_quota"}' "$TMP/metrics.prom"
-grep -q '^winsimd_admission_rejects_total{reason="cost"}' "$TMP/metrics.prom"
-grep -q '^# TYPE winsimd_queue_cost gauge$' "$TMP/metrics.prom"
+grep -q '^winsimd_jobs_total{state="shed"}' "$TMP/metrics.prom"
 grep -q '^# TYPE winsimd_cache_coalesced_total counter$' "$TMP/metrics.prom"
-echo "exposition contains admission, queue-cost and cache-coalescing families"
+echo "exposition contains the shed-job count and the cache-coalescing family"
 
 echo "== /metrics?format=json: cached job, nonzero p50, job conservation =="
 curl -fsS "$BASE/metrics?format=json" >"$TMP/metrics.json"
