@@ -38,7 +38,11 @@ import (
 	"cyclicwin/internal/simsvc"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command; it returns the exit status, so that every exit
+// path runs the deferred profile writers.
+func run() (code int) {
 	exp := flag.String("exp", "fig11", "experiment name (see -exp list), or all")
 	full := flag.Bool("full", false, "use the paper's full input sizes")
 	windowsFlag := flag.String("windows", "", "comma-separated window counts (default: the paper's sweep)")
@@ -59,37 +63,48 @@ func main() {
 	quantum := flag.Uint64("quantum", 0, "preemptive time-slice in cycles applied to every sweep cell (0 = the paper's non-preemptive scheduling)")
 	flag.Parse()
 
-	if *checkRun {
-		os.Exit(runCheck(*checkDepth, *checkRuns, *checkLen, *checkSeed))
-	}
-
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
 			fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
+				code = max(code, 1)
+			}
+		}()
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
+			if err := writeHeapProfile(*memProfile); err != nil {
 				fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			runtime.GC() // settle live objects before the heap snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
-				os.Exit(1)
+				code = max(code, 1)
 			}
 		}()
+	}
+	// A serial cell that fails aborts its experiment with a cellFailure
+	// panic, which ends the run here, after its diagnostic, with exit 1.
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(cellFailure)
+			if !ok {
+				panic(r)
+			}
+			fmt.Fprintln(os.Stderr, f)
+			code = 1
+		}
+	}()
+
+	if *checkRun {
+		return runCheck(*checkDepth, *checkRuns, *checkLen, *checkSeed)
 	}
 
 	if *exp == "list" {
@@ -97,7 +112,7 @@ func main() {
 		for _, e := range simsvc.Experiments() {
 			fmt.Printf("%-10s %s\n", e.Name, e.Description)
 		}
-		return
+		return 0
 	}
 
 	sz := harness.QuickSizes
@@ -111,7 +126,7 @@ func main() {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil || n < 2 || n > regwin.MaxWindows {
 				fmt.Fprintf(os.Stderr, "winsim: bad window count %q\n", f)
-				os.Exit(2)
+				return 2
 			}
 			windows = append(windows, n)
 		}
@@ -135,7 +150,7 @@ func main() {
 		cache, err := simsvc.NewCache(0, *cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		pool := simsvc.NewPool(simsvc.PoolConfig{Workers: *workers, Cache: cache})
 		defer pool.Close()
@@ -153,7 +168,7 @@ func main() {
 			p, err := sched.ParsePolicy(strings.ToUpper(*policyFlag))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
-				os.Exit(2)
+				return 2
 			}
 			pol, havePol = p, true
 		}
@@ -173,11 +188,11 @@ func main() {
 		}
 	}
 
-	run := func(name string) {
+	runExp := func(name string) int {
 		e, ok := simsvc.LookupExperiment(name)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "winsim: unknown experiment %q (try -exp list)\n", name)
-			os.Exit(2)
+			return 2
 		}
 		output, csv := e.Run(sz, windows, runner)
 		fmt.Print(output)
@@ -185,38 +200,59 @@ func main() {
 			path := filepath.Join(*csvDir, name+".csv")
 			if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
 		fmt.Println()
+		return 0
 	}
 
+	names := []string{*exp}
 	if *exp == "all" {
-		for _, name := range simsvc.ExperimentNames() {
-			run(name)
+		names = simsvc.ExperimentNames()
+	}
+	for _, name := range names {
+		if code := runExp(name); code != 0 {
+			return code
 		}
-	} else {
-		run(*exp)
 	}
 
 	if chrome != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
+		if err := writeTrace(*traceOut, chrome); err != nil {
 			fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := chrome.Encode(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "winsim: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "winsim: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *traceOut)
 	}
+	return 0
+}
+
+// writeHeapProfile writes a heap profile of the live objects to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle live objects before the heap snapshot
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeTrace writes the Chrome trace to path.
+func writeTrace(path string, chrome *obs.ChromeTrace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := chrome.Encode(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing trace: %w", err)
+	}
+	return f.Close()
 }
 
 // runCheck runs the differential model checker over its windows 3..8 ×
@@ -243,12 +279,16 @@ func runCheck(depth, runs, length int, seed uint64) int {
 	return 0
 }
 
+// cellFailure is the diagnostic of a serial cell that failed; run
+// prints it and exits 1.
+type cellFailure string
+
 // serialRunner executes cells serially under any combination of the
 // cycle-budget watchdog, the seeded chaos injector and the event
 // tracer (one Chrome process per cell, in sweep order). A cell that
-// trips the watchdog or faults terminates the run with its diagnostic
-// (exit 1) — runaway or faulty guests abort instead of hanging the
-// sweep.
+// trips the watchdog or faults ends the run with its diagnostic (exit
+// 1, through a cellFailure panic that run recovers) — runaway or
+// faulty guests abort instead of hanging the sweep.
 func serialRunner(maxCycles uint64, faultSeed int64, chrome *obs.ChromeTrace) harness.Runner {
 	pid := 0
 	return func(cells []harness.CellSpec) []harness.Result {
@@ -276,9 +316,8 @@ func serialRunner(maxCycles uint64, faultSeed int64, chrome *obs.ChromeTrace) ha
 			}
 			r, err := harness.RunSpellWith(opts)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "winsim: cell %v/w%d/%s: %v\n",
-					c.Scheme, c.Windows, c.Behavior.Name, err)
-				os.Exit(1)
+				panic(cellFailure(fmt.Sprintf("winsim: cell %v/w%d/%s: %v",
+					c.Scheme, c.Windows, c.Behavior.Name, err)))
 			}
 			if tr != nil {
 				pid++

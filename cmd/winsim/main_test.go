@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -30,6 +32,30 @@ func runMain(t *testing.T, args ...string) string {
 		t.Fatalf("winsim %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 	}
 	return string(out)
+}
+
+// TestProfilesWrittenOnFailure pins that a run which fails on its
+// cycle budget, exiting 1, still writes its CPU and heap profiles:
+// non-empty and gzip-compressed, as runtime/pprof writes them.
+func TestProfilesWrittenOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "heap.prof")
+	cmd := exec.Command(os.Args[0], "-exp", "fig11", "-windows", "4", "-maxcycles", "1000",
+		"-cpuprofile", cpu, "-memprofile", heap)
+	cmd.Env = append(os.Environ(), "WINSIM_RUN_MAIN=1")
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("over-budget run ended with %v, want exit status 1", err)
+	}
+	for _, path := range []string{cpu, heap} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s: %d bytes, not a gzip-compressed profile", filepath.Base(path), len(b))
+		}
+	}
 }
 
 // TestQuantumReachesSerialRunner pins that -quantum applies on the

@@ -95,9 +95,12 @@ type workload struct {
 	source, main, forbidden []byte
 	used                    uint64 // workloadTick at the last load
 
-	// schedules are the recorded FIFO schedules of this corpus
-	// (schedule.go), and scheduleBytes their packed size; both leave
-	// with the entry.
+	// traces are the spell threads' recorded operations on this corpus,
+	// recorded under tracesOnce; schedules are the linear schedules
+	// derived from them (schedule.go), and scheduleBytes the packed size
+	// of both. All leave with the entry.
+	tracesOnce    sync.Once
+	traces        *traces
 	schedules     map[scheduleKey]*scheduleEntry
 	scheduleBytes int
 }
@@ -112,8 +115,8 @@ var (
 	workloadsMu  sync.Mutex
 	workloads    = map[Sizes]*workload{}
 	workloadTick uint64
-	// scheduleBytes is the packed size of every schedule the cache
-	// keeps, at most maxScheduleBytes.
+	// scheduleBytes is the packed size of every trace set and schedule
+	// the cache keeps, at most maxScheduleBytes.
 	scheduleBytes int
 )
 
@@ -251,14 +254,23 @@ func (o *SpellOpts) AttachTracer(tr *obs.Tracer) {
 // RunSpellWith executes one spell-checker run with watchdog and chaos
 // control, returning the structured result or the failure (guest
 // fault, deadlock diagnostic, budget exhaustion, invalid stream size).
-// A FIFO run, or a working-set run on NS, with none of the options set
-// replays its behaviour's recorded schedule onto its own manager
-// (schedule.go); every other run, and one whose schedule is not kept,
-// runs live.
+// A run with none of the options set and positive stream sizes replays
+// its guest's recorded thread traces onto its own manager (schedule.go):
+// a FIFO run, or a working-set run on NS, through its stream sizes'
+// linear schedule, a working-set run on SNP or SP through the
+// scheduler. Every other run, and one whose traces or schedule are not
+// kept, runs live.
 func RunSpellWith(o SpellOpts) (Result, error) {
-	if replayable(o) {
+	switch modeOf(o) {
+	case replayLinear:
 		if s := loadSchedule(o.Behavior, o.Sizes); s != nil {
-			return s.replay(o)
+			return s.replay(o), nil
+		}
+	case replayScheduled:
+		if tr := loadTraces(o.Sizes); tr != nil {
+			if r, ok := tr.replay(o); ok {
+				return r, nil
+			}
 		}
 	}
 	return runSpellLive(o)

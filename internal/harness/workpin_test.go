@@ -99,9 +99,9 @@ func TestWorkPin(t *testing.T) {
 	}
 	defer core.SetInvariantChecks(core.InvariantChecksEnabled())
 	core.SetInvariantChecks(false)
-	// Generate the corpus and record the FIFO schedules outside the
-	// measurement, so the allocations do not depend on whether an
-	// earlier test in the binary already recorded them.
+	// Generate the corpus, record its traces and derive the linear
+	// schedules outside the measurement, so the allocations do not
+	// depend on whether an earlier test in the binary already made them.
 	for _, b := range Behaviors {
 		if loadSchedule(b, QuickSizes) == nil {
 			t.Fatalf("%s: schedule not kept, so its cells would run live", b.Name)

@@ -56,12 +56,13 @@ func New(k *sched.Kernel, cfg Config) (*Pipeline, error) {
 		}
 		return s
 	}
-	p.S1 = mk("S1", cfg.M) // T4 -> T1: raw LaTeX bytes
-	p.S2 = mk("S2", cfg.N) // T1 -> T2: one word per line
-	p.S3 = mk("S3", cfg.N) // T2 -> T3: words, bad ones marked
-	p.S4 = mk("S4", cfg.M) // T3 -> T5: misspelled words
-	p.S5 = mk("S5", cfg.M) // T6 -> T2: forbidden derivatives
-	p.S6 = mk("S6", cfg.M) // T7 -> T3: main dictionary
+	size := cfg.StreamSizes()
+	p.S1 = mk("S1", size[0]) // T4 -> T1: raw LaTeX bytes
+	p.S2 = mk("S2", size[1]) // T1 -> T2: one word per line
+	p.S3 = mk("S3", size[2]) // T2 -> T3: words, bad ones marked
+	p.S4 = mk("S4", size[3]) // T3 -> T5: misspelled words
+	p.S5 = mk("S5", size[4]) // T6 -> T2: forbidden derivatives
+	p.S6 = mk("S6", size[5]) // T7 -> T3: main dictionary
 	if err != nil {
 		return nil, err
 	}
@@ -74,6 +75,15 @@ func New(k *sched.Kernel, cfg Config) (*Pipeline, error) {
 	p.T6 = k.Spawn("T6-dict1", fileReader(p.S5, cfg.ForbiddenDict))
 	p.T7 = k.Spawn("T7-dict2", fileReader(p.S6, cfg.MainDict))
 	return p, nil
+}
+
+// StreamSizes returns the buffer sizes of S1..S6 in order: S1 and
+// S4..S6 are M bytes, S2 and S3 are N bytes.
+func (c Config) StreamSizes() [6]int { return [6]int{c.M, c.N, c.N, c.M, c.M, c.M} }
+
+// Streams lists the streams S1..S6 in order.
+func (p *Pipeline) Streams() []*stream.Stream {
+	return []*stream.Stream{p.S1, p.S2, p.S3, p.S4, p.S5, p.S6}
 }
 
 // Output returns the raw bytes T5 collected (misspelled words, one per

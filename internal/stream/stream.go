@@ -17,9 +17,10 @@ import (
 // load/store, wrap test).
 const byteCost = 4
 
-// Stream is a bounded FIFO of bytes with blocking reads and writes.
+// Stream is a bounded FIFO of bytes with blocking reads and writes. It
+// wakes parked threads through the acting thread's kernel rather than
+// keeping its own, so that with the hook it still fits 128 bytes.
 type Stream struct {
-	k      *sched.Kernel
 	name   string
 	buf    []byte
 	head   int // next read position
@@ -29,9 +30,36 @@ type Stream struct {
 	readers []*sched.TCB
 	writers []*sched.TCB
 
+	// hook, when non-nil, observes every operation (SetHook).
+	hook Hook
+
 	// BytesWritten counts all bytes that passed through.
 	BytesWritten uint64
 }
+
+// Op is a stream operation as a Hook sees it.
+type Op uint8
+
+const (
+	// OpPut is a byte written by Put.
+	OpPut Op = iota
+	// OpGet is a byte read by Get.
+	OpGet
+	// OpEOF is a Get that found the stream closed and drained.
+	OpEOF
+	// OpClose is a Close.
+	OpClose
+)
+
+// Hook observes one stream operation by thread t, called as the
+// operation takes effect: after Put or Get moves its byte and before it
+// charges the byte's cost or wakes anyone, when Get returns EOF, and
+// when Close marks the stream closed. A Put or Get that blocks first
+// is seen once, when it completes.
+type Hook func(op Op, t *sched.TCB)
+
+// SetHook installs h, or removes the hook when h is nil.
+func (s *Stream) SetHook(h Hook) { s.hook = h }
 
 // New creates a stream with the given buffer capacity (the paper's M or
 // N parameter). The capacity must be positive: a zero-capacity FIFO can
@@ -43,7 +71,7 @@ func New(k *sched.Kernel, name string, capacity int) (*Stream, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("stream %s: capacity %d must be positive", name, capacity)
 	}
-	s := &Stream{k: k, name: name, buf: make([]byte, capacity)}
+	s := &Stream{name: name, buf: make([]byte, capacity)}
 	k.RegisterDiag("stream "+name, s.diag)
 	return s, nil
 }
@@ -73,16 +101,16 @@ func (s *Stream) Cap() int { return len(s.buf) }
 // Len returns the number of buffered bytes.
 func (s *Stream) Len() int { return s.count }
 
-func (s *Stream) wakeReaders() {
+func (s *Stream) wakeReaders(k *sched.Kernel) {
 	for _, t := range s.readers {
-		s.k.Wake(t)
+		k.Wake(t)
 	}
 	s.readers = s.readers[:0]
 }
 
-func (s *Stream) wakeWriters() {
+func (s *Stream) wakeWriters(k *sched.Kernel) {
 	for _, t := range s.writers {
-		s.k.Wake(t)
+		k.Wake(t)
 	}
 	s.writers = s.writers[:0]
 }
@@ -104,8 +132,11 @@ func (s *Stream) Put(e *sched.Env, b byte) {
 	s.buf[(s.head+s.count)%len(s.buf)] = b
 	s.count++
 	s.BytesWritten++
+	if s.hook != nil {
+		s.hook(OpPut, e.TCB())
+	}
 	e.Work(byteCost)
-	s.wakeReaders()
+	s.wakeReaders(e.Kernel())
 }
 
 // PutString writes every byte of str in order.
@@ -121,6 +152,9 @@ func (s *Stream) PutString(e *sched.Env, str string) {
 func (s *Stream) Get(e *sched.Env) (b byte, ok bool) {
 	for s.count == 0 {
 		if s.closed {
+			if s.hook != nil {
+				s.hook(OpEOF, e.TCB())
+			}
 			return 0, false
 		}
 		s.readers = append(s.readers, e.TCB())
@@ -129,8 +163,11 @@ func (s *Stream) Get(e *sched.Env) (b byte, ok bool) {
 	b = s.buf[s.head]
 	s.head = (s.head + 1) % len(s.buf)
 	s.count--
+	if s.hook != nil {
+		s.hook(OpGet, e.TCB())
+	}
 	e.Work(byteCost)
-	s.wakeWriters()
+	s.wakeWriters(e.Kernel())
 	return b, true
 }
 
@@ -138,7 +175,9 @@ func (s *Stream) Get(e *sched.Env) (b byte, ok bool) {
 // once the buffer drains.
 func (s *Stream) Close(e *sched.Env) {
 	s.closed = true
-	s.wakeReaders()
-	s.wakeWriters()
-	_ = e
+	if s.hook != nil {
+		s.hook(OpClose, e.TCB())
+	}
+	s.wakeReaders(e.Kernel())
+	s.wakeWriters(e.Kernel())
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -224,5 +225,60 @@ func TestReadAfterCloseDrains(t *testing.T) {
 	k.Run()
 	if string(got) != "xyz" {
 		t.Errorf("drained %q, want xyz", got)
+	}
+}
+
+// TestHookSeesEveryOperation pins the hook: every Put, Get, EOF and
+// Close is seen once, with the acting thread, in the order the threads
+// made them. Two producers share one stream, which a consumer drains
+// to EOF, through buffers small enough to block both sides; the bodies
+// log each operation as it returns, which no other thread can run
+// between, and the hook's log must equal theirs.
+func TestHookSeesEveryOperation(t *testing.T) {
+	type rec struct {
+		op     Op
+		thread string
+	}
+	for _, capacity := range []int{1, 2, 5, 64} {
+		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
+			k := kernel(core.SchemeSP)
+			st := mustNew(t, k, "s", capacity)
+			var hooked, made []rec
+			st.SetHook(func(op Op, tcb *sched.TCB) { hooked = append(hooked, rec{op, tcb.Name()}) })
+			done := 0
+			producer := func(msg string) func(*sched.Env) {
+				return func(e *sched.Env) {
+					for i := 0; i < len(msg); i++ {
+						st.Put(e, msg[i])
+						made = append(made, rec{OpPut, e.TCB().Name()})
+					}
+					if done++; done == 2 {
+						st.Close(e)
+						made = append(made, rec{OpClose, e.TCB().Name()})
+					}
+				}
+			}
+			k.Spawn("p1", producer("multiple threads"))
+			k.Spawn("p2", producer("cyclic windows"))
+			k.Spawn("consumer", func(e *sched.Env) {
+				for {
+					_, ok := st.Get(e)
+					if !ok {
+						made = append(made, rec{OpEOF, e.TCB().Name()})
+						return
+					}
+					made = append(made, rec{OpGet, e.TCB().Name()})
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if want := 2*len("multiple threads"+"cyclic windows") + 2; len(made) != want {
+				t.Fatalf("the bodies made %d operations, want %d", len(made), want)
+			}
+			if !reflect.DeepEqual(hooked, made) {
+				t.Fatalf("the hook saw\n %v\nthe threads made\n %v", hooked, made)
+			}
+		})
 	}
 }
