@@ -63,6 +63,19 @@ func run() (code int) {
 	quantum := flag.Uint64("quantum", 0, "preemptive time-slice in cycles applied to every sweep cell (0 = the paper's non-preemptive scheduling)")
 	flag.Parse()
 
+	// A negative count would not fail on its own: -workers -1 runs as
+	// 0, -checkruns -2 reports runs that never ran, and -checklen -5
+	// panics inside the checker. Refuse one before any work.
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"workers", *workers}, {"checkdepth", *checkDepth}, {"checkruns", *checkRuns}, {"checklen", *checkLen}} {
+		if c.v < 0 {
+			fmt.Fprintf(os.Stderr, "winsim: -%s %d: must not be negative\n", c.name, c.v)
+			return 2
+		}
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

@@ -124,3 +124,35 @@ func TestExpAllGolden(t *testing.T) {
 	}
 	t.Fatalf("-exp all printed %d lines, %s has %d", len(gotLines), golden, len(wantLines))
 }
+
+// TestNegativeCountsRejected pins that every count flag refuses a
+// negative value with exit 2 and one line naming the flag, before any
+// work: -checklen -5 used to panic in the checker, -checkruns -2 to
+// report two negative runs as passing, and -workers -1 to run as 0.
+func TestNegativeCountsRejected(t *testing.T) {
+	for flagName, args := range map[string][]string{
+		"checklen":   {"-check", "-checklen", "-5", "-checkdepth", "0", "-checkruns", "1"},
+		"checkruns":  {"-check", "-checkruns", "-2"},
+		"checkdepth": {"-check", "-checkdepth", "-1"},
+		"workers":    {"-exp", "fig11", "-windows", "4", "-workers", "-1"},
+	} {
+		t.Run(flagName, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], args...)
+			cmd.Env = append(os.Environ(), "WINSIM_RUN_MAIN=1")
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("winsim %s ended with %v, want exit status 2\n%s", strings.Join(args, " "), err, stderr.String())
+			}
+			msg := stderr.String()
+			if strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "-"+flagName+" ") {
+				t.Errorf("stderr %q: want one line naming -%s", msg, flagName)
+			}
+			if len(out) != 0 {
+				t.Errorf("printed %q before refusing the flag", out)
+			}
+		})
+	}
+}

@@ -57,6 +57,24 @@ func main() {
 	enablePprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	flag.Parse()
 
+	// A negative count or duration would not fail on its own: the pool
+	// reads a negative -maxqueue as unbounded and -workers, -cachesize,
+	// -timeout and -reqtimeout as their default or none, and a negative
+	// -drain is a budget already spent. Refuse one before any work or
+	// listening.
+	for _, c := range []struct {
+		name     string
+		negative bool
+	}{
+		{"workers", *workers < 0}, {"cachesize", *cacheSize < 0}, {"maxqueue", *maxQueue < 0},
+		{"timeout", *timeout < 0}, {"reqtimeout", *reqTimeout < 0}, {"drain", *drainFor < 0},
+	} {
+		if c.negative {
+			fmt.Fprintf(os.Stderr, "winsimd: -%s %v: must not be negative\n", c.name, flag.Lookup(c.name).Value)
+			os.Exit(2)
+		}
+	}
+
 	cache, err := simsvc.NewCache(*cacheSize, *cacheDir)
 	if err != nil {
 		log.Fatalf("winsimd: %v", err)

@@ -5,7 +5,7 @@ package core
 // stack order. It exercises the same pushFrame/popFrame machinery as
 // the real overflow/underflow paths but is observationally neutral: no
 // cycles are charged, no counters move, and the register file ends
-// byte-identical (SpillWindow/FillWindow are pure copies). The fault
+// byte-identical (a spill and a fill are pure copies). The fault
 // injector's flush-reload point drives this to shake out any hidden
 // coupling between a window's slot residency and its contents.
 func (m *machine) ChaosRoundTrip() {

@@ -298,7 +298,7 @@ func (m *machine) SetReg(r int, v uint32) {
 // NewThread registers a thread. It owns no windows until first
 // switched to.
 func (m *machine) NewThread(id int, name string) *Thread {
-	t := &Thread{ID: id, Name: name, saveBase: m.stacks.Alloc(), frames: m.stacks.Size() / frameBytes}
+	t := &Thread{ID: id, Name: name, area: mem.NewSaveArea(m.stacks.Alloc()), frames: m.stacks.Size() / frameBytes}
 	t.resetWindows()
 	t.initOuts()
 	m.threads = append(m.threads, t)
@@ -334,13 +334,13 @@ func (m *machine) countRestore(t *Thread) {
 
 // noteDispatch starts a new activity burst for the scheduled thread.
 func (m *machine) noteDispatch(t *Thread) {
-	t.burstMin, t.burstMax = t.depth, t.depth
+	t.burstMin, t.burstMax = int32(t.depth), int32(t.depth)
 }
 
 // noteSuspend closes the suspending thread's activity burst.
 func (m *machine) noteSuspend(t *Thread) {
 	if m.activity != nil {
-		m.activity.Record(stats.Burst{Thread: t.ID, Min: t.burstMin, Max: t.burstMax})
+		m.activity.Record(stats.Burst{Thread: t.ID, Min: int(t.burstMin), Max: int(t.burstMax)})
 	}
 }
 
@@ -394,7 +394,7 @@ func (m *machine) syncCWP(t *Thread) {
 // TCB; restoreOuts puts them back into the register file at the slot
 // above the thread's current window.
 func (m *machine) saveOuts(t *Thread) {
-	copy(t.outs[:], m.file.Outs(t.cwp))
+	t.outs = *m.file.Outs(t.cwp)
 	t.outsSave = true
 }
 
@@ -402,7 +402,7 @@ func (m *machine) restoreOuts(t *Thread) {
 	if !t.outsSave {
 		return
 	}
-	copy(m.file.Outs(t.cwp), t.outs[:])
+	*m.file.Outs(t.cwp) = t.outs
 	t.outsSave = false
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cyclicwin/internal/cycles"
-	"cyclicwin/internal/regwin"
 )
 
 // NS is the conventional non-sharing scheme (Section 4.5): windows are
@@ -55,21 +54,30 @@ func (ns *NS) switchTo(t *Thread, kind EventKind) {
 		ns.saveOuts(out)
 		if out.HasWindows() {
 			// Flush live windows oldest-first so the save area stays in
-			// stack order.
-			ns.region(out.bottom, out.cwp, func(w int) {
-				out.pushFrame(ns.mem, ns.file, w)
-				saves++
-			})
-			ns.region(out.bottom, out.high, func(w int) {
+			// stack order, and free and scrub every slot of the region,
+			// the dead ones above the CWP too, in the same walk.
+			// Scrubbing a flushed window clears only the outs of the
+			// window below it, which is already flushed.
+			live := true
+			for w := out.bottom; ; w = ns.file.Above(w) {
+				if live {
+					out.pushFrame(ns.mem, ns.file, w)
+					saves++
+					live = w != out.cwp
+				}
 				ns.free(w)
 				ns.file.ClearWindow(w)
-			})
+				if w == out.high {
+					break
+				}
+			}
 			out.resetWindows()
 		}
 	}
 
 	// The scheduled thread's stack-top is placed at the file's current
-	// CWP slot; everything except the window below it becomes valid.
+	// CWP slot; everything except the window below it becomes valid:
+	// the cyclic range from the window below that one up to w.
 	w := ns.file.CWP()
 	switch {
 	case t.saved > 0:
@@ -82,8 +90,7 @@ func (ns *NS) switchTo(t *Thread, kind EventKind) {
 	ns.owned(w, t)
 	ns.restoreOuts(t)
 	ns.reserved = ns.file.Below(w)
-	ns.file.SetWIM(regwin.Mask{})
-	ns.file.SetInvalid(ns.reserved, true)
+	ns.file.SetValidRange(ns.file.Below(ns.reserved), w)
 	ns.noteDispatch(t)
 	ns.running = t
 

@@ -56,7 +56,7 @@ func (m *machine) spillBottom(w int, rescuePRW bool) {
 	if x.prw != noSlot && rescuePRW {
 		// Its stack-top out registers were parked in the private
 		// reserved window; rescue them to the TCB and release the slot.
-		copy(x.outs[:], m.file.Ins(x.prw))
+		x.outs = *m.file.Ins(x.prw)
 		x.outsSave = true
 		m.free(x.prw)
 		m.file.ClearWindow(x.prw)

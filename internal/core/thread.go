@@ -56,24 +56,27 @@ type Thread struct {
 	// (resident or spilled); the outermost frame has depth 0.
 	depth int
 
-	// saved is the number of windows spilled to the memory save area;
-	// saveBase is the (exclusive) top of that area, which grows down,
-	// and frames is how many windows the area holds (a uint32 beside
-	// saveBase, so the field costs no space).
-	saved    int
-	saveBase uint32
-	frames   uint32
+	// saved is the number of windows spilled to the thread's memory
+	// save area, area; frame number saved is the newest.
+	saved int
+	area  mem.SaveArea
 
 	// burstMin and burstMax track the depth range (infinite-window
 	// identities) touched since the last dispatch, for the Section 5
-	// window-activity measurement.
-	burstMin, burstMax int
+	// window-activity measurement. A depth is below the save area's
+	// frame count, so 32 bits hold it, and with frames beside outsSave
+	// the save-area handle leaves Thread at 160 bytes, a size class of
+	// the allocator.
+	burstMin, burstMax int32
 
 	// outs preserves the stack-top out registers across suspensions for
 	// schemes that cannot keep them in the register file (NS always,
 	// SNP always, SP only when the thread loses its PRW).
 	outs     [regwin.NPart]uint32
 	outsSave bool
+
+	// frames is how many windows the save area holds.
+	frames uint32
 
 	Stats stats.ThreadCounters
 }
@@ -115,11 +118,12 @@ func (t *Thread) initOuts() { t.outsSave = true }
 
 // noteDepth widens the current activity burst to cover depth d.
 func (t *Thread) noteDepth(d int) {
-	if d < t.burstMin {
-		t.burstMin = d
+	d32 := int32(d)
+	if d32 < t.burstMin {
+		t.burstMin = d32
 	}
-	if d > t.burstMax {
-		t.burstMax = d
+	if d32 > t.burstMax {
+		t.burstMax = d32
 	}
 }
 
@@ -138,10 +142,8 @@ func (t *Thread) pushFrame(m *mem.Memory, f *regwin.File, w int) {
 	if t.saved == int(t.frames) {
 		panic(fmt.Sprintf("core: %v pushFrame past its %d-frame save area", t, t.frames))
 	}
-	var buf [regwin.WindowWords]uint32
-	f.SpillWindow(w, &buf)
 	t.saved++
-	m.StoreFrame(t.saveBase-uint32(t.saved)*frameBytes, &buf)
+	t.area.Store(m, t.saved, f.Frame(w))
 }
 
 // popFrame fills window slot w from the newest frame in the thread's
@@ -150,8 +152,6 @@ func (t *Thread) popFrame(m *mem.Memory, f *regwin.File, w int) {
 	if t.saved == 0 {
 		panic(fmt.Sprintf("core: %v popFrame with empty save area", t))
 	}
-	var buf [regwin.WindowWords]uint32
-	m.LoadFrame(t.saveBase-uint32(t.saved)*frameBytes, &buf)
-	f.FillWindow(w, &buf)
+	t.area.Load(m, t.saved, f.Frame(w))
 	t.saved--
 }

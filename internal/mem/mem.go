@@ -4,77 +4,93 @@
 // on SPARC, big-endian.
 package mem
 
-import (
-	"encoding/binary"
-	"sort"
-)
+import "sort"
 
 const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
 
-	// frameBytes is the size of one LoadFrame/StoreFrame frame: 16
-	// words, one spilled register window.
-	frameBytes = 16 * 4
+	// pageWords is the number of 32-bit words in one page. A page is
+	// kept as words, not bytes: word k holds the big-endian word at
+	// byte offset 4k, so an aligned word access is one array index and
+	// a byte access shifts and masks.
+	pageWords = pageSize / 4
+
+	// frameWords and frameBytes are the size of one save-area frame:
+	// 16 words, one spilled register window.
+	frameWords = 16
+	frameBytes = frameWords * 4
 )
+
+// page is one 4 KiB page as big-endian words.
+type page = [pageWords]uint32
 
 // Memory is a sparse, paged, big-endian byte-addressed memory. The zero
 // value is ready to use.
 type Memory struct {
-	pages map[uint32]*[pageSize]byte
+	pages map[uint32]*page
 }
 
 // New returns an empty memory.
 func New() *Memory {
-	return &Memory{pages: make(map[uint32]*[pageSize]byte)}
+	return &Memory{pages: make(map[uint32]*page)}
 }
 
-func (m *Memory) page(addr uint32) *[pageSize]byte {
+// page returns the page holding addr, materialising it.
+func (m *Memory) page(addr uint32) *page {
 	if m.pages == nil {
-		m.pages = make(map[uint32]*[pageSize]byte)
+		m.pages = make(map[uint32]*page)
 	}
 	pn := addr >> pageShift
 	p := m.pages[pn]
 	if p == nil {
-		p = new([pageSize]byte)
+		p = new(page)
 		m.pages[pn] = p
 	}
 	return p
 }
 
+// lookup returns the page holding addr, or nil if it was never
+// materialised.
+func (m *Memory) lookup(addr uint32) *page {
+	if m.pages == nil {
+		return nil
+	}
+	return m.pages[addr>>pageShift]
+}
+
+// byteShift is how far the byte at addr sits from the low end of its
+// word: the first byte of a word is its most significant.
+func byteShift(addr uint32) uint32 { return 24 - 8*(addr&3) }
+
 // Load8 reads the byte at addr; untouched memory reads as zero.
 func (m *Memory) Load8(addr uint32) byte {
-	if m.pages == nil {
-		return 0
-	}
-	p := m.pages[addr>>pageShift]
+	p := m.lookup(addr)
 	if p == nil {
 		return 0
 	}
-	return p[addr&pageMask]
+	return byte(p[addr&pageMask>>2] >> byteShift(addr))
 }
 
 // Store8 writes one byte at addr.
 func (m *Memory) Store8(addr uint32, v byte) {
-	m.page(addr)[addr&pageMask] = v
+	w := &m.page(addr)[addr&pageMask>>2]
+	s := byteShift(addr)
+	*w = *w&^(0xff<<s) | uint32(v)<<s
 }
 
 // Load32 reads a big-endian 32-bit word at addr. The address need not be
-// aligned; the ISA layer enforces alignment before calling. Aligned
-// words (the common case: instruction fetch, ld/st) resolve the page
-// once instead of per byte.
+// aligned; the ISA layer enforces alignment before calling. An aligned
+// word (the common case: instruction fetch, ld/st) is one page lookup
+// and one array index.
 func (m *Memory) Load32(addr uint32) uint32 {
 	if addr&3 == 0 {
-		if m.pages == nil {
-			return 0
-		}
-		p := m.pages[addr>>pageShift]
+		p := m.lookup(addr)
 		if p == nil {
 			return 0
 		}
-		o := addr & pageMask
-		return uint32(p[o])<<24 | uint32(p[o+1])<<16 | uint32(p[o+2])<<8 | uint32(p[o+3])
+		return p[addr&pageMask>>2]
 	}
 	return uint32(m.Load8(addr))<<24 | uint32(m.Load8(addr+1))<<16 |
 		uint32(m.Load8(addr+2))<<8 | uint32(m.Load8(addr+3))
@@ -83,59 +99,13 @@ func (m *Memory) Load32(addr uint32) uint32 {
 // Store32 writes a big-endian 32-bit word at addr.
 func (m *Memory) Store32(addr uint32, v uint32) {
 	if addr&3 == 0 {
-		p := m.page(addr)
-		o := addr & pageMask
-		p[o] = byte(v >> 24)
-		p[o+1] = byte(v >> 16)
-		p[o+2] = byte(v >> 8)
-		p[o+3] = byte(v)
+		m.page(addr)[addr&pageMask>>2] = v
 		return
 	}
 	m.Store8(addr, byte(v>>24))
 	m.Store8(addr+1, byte(v>>16))
 	m.Store8(addr+2, byte(v>>8))
 	m.Store8(addr+3, byte(v))
-}
-
-// StoreFrame writes the 16 words of fr from addr on, exactly as 16
-// Store32 calls at addr, addr+4, ... would. A frame inside one page
-// (every frame of a window save area) resolves the page once; a frame
-// that crosses a page boundary falls back to byte stores.
-func (m *Memory) StoreFrame(addr uint32, fr *[16]uint32) {
-	if o := addr & pageMask; o <= pageSize-frameBytes {
-		b := (*[frameBytes]byte)(m.page(addr)[o:])
-		for i, v := range fr {
-			binary.BigEndian.PutUint32(b[4*i:], v)
-		}
-	} else {
-		for i, v := range fr {
-			a := addr + uint32(4*i)
-			for k := uint32(0); k < 4; k++ {
-				m.page(a + k)[(a+k)&pageMask] = byte(v >> (24 - 8*k))
-			}
-		}
-	}
-}
-
-// LoadFrame reads 16 words from addr on into fr, exactly as 16 Load32
-// calls would. Like Load32 it materialises no page: an untouched page
-// reads as zeros. A frame inside one page resolves the page once.
-func (m *Memory) LoadFrame(addr uint32, fr *[16]uint32) {
-	if o := addr & pageMask; o <= pageSize-frameBytes {
-		p := m.pages[addr>>pageShift]
-		if p == nil {
-			*fr = [16]uint32{}
-			return
-		}
-		b := (*[frameBytes]byte)(p[o:])
-		for i := range fr {
-			fr[i] = binary.BigEndian.Uint32(b[4*i:])
-		}
-		return
-	}
-	for i := range fr {
-		fr[i] = m.Load32(addr + uint32(4*i))
-	}
 }
 
 // StoreBytes copies b into memory starting at addr.
@@ -171,6 +141,71 @@ func (m *Memory) TouchedPages() []uint32 {
 
 // PageSize reports the page granularity of TouchedPages.
 func PageSize() uint32 { return pageSize }
+
+// SaveArea is one thread's window save area: a stack of 64-byte frames
+// growing down from its top, frame i (counting from 1) at top-64i. It
+// remembers the page it last used, so a thread resolves a page once
+// per page its frames enter rather than once per frame. Every call on
+// one area must pass the same Memory, the one the area lies in.
+type SaveArea struct {
+	page *page // the page numbered pn, or nil before the first frame
+	pn   uint32
+	top  uint32
+}
+
+// NewSaveArea returns a save area whose frames lie below top.
+func NewSaveArea(top uint32) SaveArea { return SaveArea{top: top} }
+
+// frame returns the words of frame i, or nil when they are not 16
+// aligned words of one page (a top that is not a multiple of 64 can
+// misalign frames or put one across a page boundary). A frame on a
+// page the memory does not hold materialises it when create is set
+// and is nil otherwise.
+func (a *SaveArea) frame(m *Memory, i int, create bool) *[frameWords]uint32 {
+	addr := a.top - uint32(i)*frameBytes
+	o := addr & pageMask
+	if addr&3 != 0 || o > pageSize-frameBytes {
+		return nil
+	}
+	if pn := addr >> pageShift; a.page == nil || pn != a.pn {
+		p := m.lookup(addr)
+		if p == nil {
+			if !create {
+				return nil
+			}
+			p = m.page(addr)
+		}
+		a.page, a.pn = p, pn
+	}
+	return (*[frameWords]uint32)(a.page[o>>2:])
+}
+
+// Store writes src into frame i, exactly as 16 Store32 calls from the
+// frame's address on would: word k of src is the big-endian word at
+// that address plus 4k.
+func (a *SaveArea) Store(m *Memory, i int, src *[frameWords]uint32) {
+	if fr := a.frame(m, i, true); fr != nil {
+		*fr = *src
+		return
+	}
+	addr := a.top - uint32(i)*frameBytes
+	for k, v := range src {
+		m.Store32(addr+uint32(4*k), v)
+	}
+}
+
+// Load reads frame i into dst, exactly as 16 Load32 calls would. Like
+// Load32 it materialises no page: an untouched page reads as zeros.
+func (a *SaveArea) Load(m *Memory, i int, dst *[frameWords]uint32) {
+	if fr := a.frame(m, i, false); fr != nil {
+		*dst = *fr
+		return
+	}
+	addr := a.top - uint32(i)*frameBytes
+	for k := range dst {
+		dst[k] = m.Load32(addr + uint32(4*k))
+	}
+}
 
 // StackAllocator hands out disjoint, downward-growing stack regions for
 // guest threads, mirroring how the multi-tasking monitor lays out thread

@@ -60,6 +60,13 @@ func rangeWord(i, lo, hi int) uint64 {
 	return w
 }
 
+// lowOnes returns one word with bits lo through hi set, without a
+// branch, for 0 <= lo <= hi+1 and hi <= 63: lo == hi+1 (hi -1 or lo 64
+// included) sets none.
+func lowOnes(lo, hi int) uint64 {
+	return ^uint64(0) >> uint(63-hi) & (^uint64(0) << uint(lo))
+}
+
 // Bit reports whether bit i is set. Out-of-range bits read as clear.
 func (m Mask) Bit(i int) bool {
 	if i < 0 || i >= MaxWindows {

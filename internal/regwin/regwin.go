@@ -47,8 +47,11 @@ type File struct {
 	cwp     int
 	wim     Mask
 	globals [NGlobals]uint32
-	ins     [][NPart]uint32
-	locals  [][NPart]uint32
+
+	// frames holds each window's ins then locals: the 16 registers a
+	// trap handler moves, in the order it stores them, so a spill or
+	// fill is one 64-byte copy (Frame).
+	frames [][WindowWords]uint32
 
 	// cur is the current window's view, refreshed wherever the CWP
 	// moves (setCWP), so Reg and SetReg index arrays directly. The
@@ -71,11 +74,7 @@ func NewFile(n int) *File {
 	if n < MinWindows || n > MaxWindows {
 		panic(fmt.Sprintf("regwin: window count %d outside [%d,%d]", n, MinWindows, MaxWindows))
 	}
-	f := &File{
-		n:      n,
-		ins:    make([][NPart]uint32, n),
-		locals: make([][NPart]uint32, n),
-	}
+	f := &File{n: n, frames: make([][WindowWords]uint32, n)}
 	f.setCWP(0)
 	return f
 }
@@ -96,30 +95,31 @@ func (f *File) setCWP(w int) {
 	f.cur = f.view(w)
 }
 
-// view returns window w's register view; w must be normalised.
+// view returns window w's register view; w must be normalised, so one
+// compare wraps the window above (which keeps view inlinable).
 func (f *File) view(w int) window {
-	return window{&f.globals, &f.ins[f.Above(w)], &f.locals[w], &f.ins[w]}
+	above := w - 1
+	if above < 0 {
+		above += f.n
+	}
+	return window{&f.globals, f.ins(above), f.locals(w), f.ins(w)}
 }
+
+// ins and locals return the partitions of window w, which must be
+// normalised.
+func (f *File) ins(w int) *[NPart]uint32    { return (*[NPart]uint32)(f.frames[w][:NPart]) }
+func (f *File) locals(w int) *[NPart]uint32 { return (*[NPart]uint32)(f.frames[w][NPart:]) }
 
 // WIM reports the window invalid mask; bit i set means window i is
 // reserved (a save or restore into it traps).
 func (f *File) WIM() Mask { return f.wim }
 
-// SetWIM replaces the whole window invalid mask; bits at or above the
-// window count are discarded.
-func (f *File) SetWIM(m Mask) {
-	var wim Mask
-	for i := 0; i < f.words(); i++ {
-		wim[i] = m[i] & rangeWord(i, 0, f.n-1)
-	}
-	f.wim = wim
-}
-
 // SetValidRange sets the whole WIM at once: the windows of the cyclic
 // range from lo up to hi (lo, lo+1, ..., wrapping past n-1 to 0) are
 // valid and every other window is invalid. lo == hi leaves one window
 // valid; lo one past hi leaves all n valid. The mask is built a word at
-// a time over the file's words only, with no per-window loop.
+// a time over the file's words only, with no per-window loop; a file
+// of up to 64 windows writes its one word in place.
 func (f *File) SetValidRange(lo, hi int) {
 	lo, hi = f.norm(lo), f.norm(hi)
 	// The invalid windows run cyclically from hi+1 to lo-1: the gap
@@ -129,16 +129,18 @@ func (f *File) SetValidRange(lo, hi int) {
 	if lo > hi {
 		top, bottom = lo-1, -1
 	}
+	if f.n <= 64 {
+		// The WIM's higher words are zero already: no bit at or above
+		// the window count is ever set.
+		f.wim[0] = lowOnes(hi+1, top) | lowOnes(0, bottom)
+		return
+	}
 	var wim Mask
-	for i := 0; i < f.words(); i++ {
+	for i := 0; i < (f.n+63)>>6; i++ {
 		wim[i] = rangeWord(i, hi+1, top) | rangeWord(i, 0, bottom)
 	}
 	f.wim = wim
 }
-
-// words reports how many words of a Mask the file's windows occupy; the
-// WIM's higher words stay zero.
-func (f *File) words() int { return (f.n + 63) >> 6 }
 
 // Invalid reports whether window w is marked in the WIM.
 func (f *File) Invalid(w int) bool { return f.wim.Bit(f.norm(w)) }
@@ -202,15 +204,20 @@ func (f *File) SetRegW(w, r int, v uint32) {
 	}
 }
 
-// Ins returns the in registers of window w as a mutable slice view.
-func (f *File) Ins(w int) []uint32 { return f.ins[f.norm(w)][:] }
+// Ins returns the in registers of window w as a mutable view.
+func (f *File) Ins(w int) *[NPart]uint32 { return f.ins(f.norm(w)) }
 
-// Locals returns the local registers of window w as a mutable slice view.
-func (f *File) Locals(w int) []uint32 { return f.locals[f.norm(w)][:] }
+// Locals returns the local registers of window w as a mutable view.
+func (f *File) Locals(w int) *[NPart]uint32 { return f.locals(f.norm(w)) }
 
 // Outs returns the out registers of window w, i.e. the ins of the window
 // above it.
-func (f *File) Outs(w int) []uint32 { return f.Ins(f.Above(w)) }
+func (f *File) Outs(w int) *[NPart]uint32 { return f.ins(f.Above(w)) }
+
+// Frame returns the 16 in+local registers of window w, ins first (the
+// order the overflow handlers store them), as a mutable view: spilling
+// a window copies from it and filling one copies into it.
+func (f *File) Frame(w int) *[WindowWords]uint32 { return &f.frames[f.norm(w)] }
 
 // SaveWouldTrap reports whether a save from the current window would hit
 // a reserved window and raise a window-overflow trap.
@@ -252,35 +259,18 @@ func (f *File) Restore() bool {
 	return true
 }
 
-// SpillWindow copies the 16 in+local registers of window w into dst,
-// ins first, as the overflow handlers store them.
-func (f *File) SpillWindow(w int, dst *[WindowWords]uint32) {
-	w = f.norm(w)
-	copy(dst[:NPart], f.ins[w][:])
-	copy(dst[NPart:], f.locals[w][:])
-}
-
-// FillWindow loads the 16 in+local registers of window w from src.
-func (f *File) FillWindow(w int, src *[WindowWords]uint32) {
-	w = f.norm(w)
-	copy(f.ins[w][:], src[:NPart])
-	copy(f.locals[w][:], src[NPart:])
-}
-
 // CopyInsToOuts copies the in registers of window w onto its out
 // registers (the ins of the window above). This is the extra step of the
 // proposed underflow handler before the caller's window is restored in
 // place (Section 3.2 of the paper).
 func (f *File) CopyInsToOuts(w int) {
 	w = f.norm(w)
-	f.ins[f.Above(w)] = f.ins[w]
+	*f.ins(f.Above(w)) = *f.ins(w)
 }
 
 // ClearWindow zeroes the in and local registers of window w. Managers
 // use it to scrub freed windows so tests catch stale-data leaks between
 // threads.
 func (f *File) ClearWindow(w int) {
-	w = f.norm(w)
-	f.ins[w] = [NPart]uint32{}
-	f.locals[w] = [NPart]uint32{}
+	f.frames[f.norm(w)] = [WindowWords]uint32{}
 }

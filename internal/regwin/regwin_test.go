@@ -146,7 +146,7 @@ func TestSetValidRangeMatchesPerWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	check := func(n, lo, hi int) {
 		want := NewFile(n)
-		want.SetWIM(MaskAll(n))
+		setWIM(want, MaskAll(n))
 		for w := lo; ; w = want.Below(w) {
 			want.SetInvalid(w, false)
 			if w == hi {
@@ -186,32 +186,63 @@ func TestSetValidRangeMatchesPerWindow(t *testing.T) {
 	}
 }
 
-func TestSetWIMMasksToWindowCount(t *testing.T) {
+// setWIM replaces f's whole WIM with m, one window at a time; bits of
+// m at or above the window count are ignored.
+func setWIM(f *File, m Mask) {
+	for w := 0; w < f.NWindows(); w++ {
+		f.SetInvalid(w, m.Bit(w))
+	}
+}
+
+// TestWIMStaysInsideWindowCount checks that no WIM writer sets a bit at
+// or above the window count, which SetValidRange relies on when it
+// writes only the low word of a file of up to 64 windows: SetInvalid
+// wraps window numbers outside [0, n), and SetValidRange marks only
+// the file's windows, on files just below and above a word boundary.
+func TestWIMStaysInsideWindowCount(t *testing.T) {
 	f := NewFile(4)
-	f.SetWIM(MaskAll(MaxWindows))
+	for w := -8; w < 8; w++ {
+		f.SetInvalid(w, true)
+	}
 	if f.WIM() != MaskOf(0xf) {
 		t.Errorf("WIM = %v, want 0xf", f.WIM())
 	}
 	if f.InvalidCount() != 4 {
 		t.Errorf("InvalidCount = %d, want 4", f.InvalidCount())
 	}
+	for _, n := range []int{4, 63, 64, 65, 128, MaxWindows} {
+		f := NewFile(n)
+		for _, r := range [][2]int{{0, 0}, {1, 0}, {n - 1, 0}, {0, n - 1}, {n / 2, n/2 - 1}, {2*n - 1, -n}} {
+			f.SetValidRange(r[0], r[1])
+			if extra := f.WIM().And(MaskAll(n)); extra != f.WIM() {
+				t.Fatalf("n=%d SetValidRange(%d, %d) = %v sets bits at or above %d", n, r[0], r[1], f.WIM(), n)
+			}
+		}
+	}
 }
 
+// TestSpillFillRoundTrip copies a window out through Frame, as a spill
+// does, clears it, and copies the frame back, as a fill does; Frame
+// holds the ins then the locals.
 func TestSpillFillRoundTrip(t *testing.T) {
 	f := NewFile(5)
 	for i := 0; i < NPart; i++ {
 		f.SetRegW(3, RegI0+i, uint32(10+i))
 		f.SetRegW(3, RegL0+i, uint32(20+i))
 	}
-	var buf [WindowWords]uint32
-	f.SpillWindow(3, &buf)
+	buf := *f.Frame(3)
+	for i := 0; i < NPart; i++ {
+		if buf[i] != uint32(10+i) || buf[NPart+i] != uint32(20+i) {
+			t.Fatalf("Frame = %v, want the ins then the locals", buf)
+		}
+	}
 	f.ClearWindow(3)
 	for i := 0; i < NPart; i++ {
 		if f.RegW(3, RegI0+i) != 0 || f.RegW(3, RegL0+i) != 0 {
 			t.Fatal("ClearWindow left data behind")
 		}
 	}
-	f.FillWindow(3, &buf)
+	*f.Frame(3) = buf
 	for i := 0; i < NPart; i++ {
 		if got := f.RegW(3, RegI0+i); got != uint32(10+i) {
 			t.Errorf("in[%d] = %d after round trip, want %d", i, got, 10+i)
@@ -343,13 +374,12 @@ func TestCachedWindowProperty(t *testing.T) {
 			case 2:
 				f.Restore()
 			case 3:
-				f.SetWIM(MaskOf(uint64(val(i))))
+				setWIM(f, MaskOf(uint64(val(i))))
 			case 4:
-				var buf [WindowWords]uint32
-				for k := range buf {
-					buf[k] = val(i + k)
+				fr := f.Frame(arg)
+				for k := range fr {
+					fr[k] = val(i + k)
 				}
-				f.FillWindow(arg, &buf)
 			case 5:
 				f.CopyInsToOuts(arg)
 			case 6:

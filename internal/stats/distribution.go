@@ -34,10 +34,26 @@ func (d *Distribution) ObserveN(v, count uint64) {
 	d.sum += v * count
 }
 
+// scanValues is how many of the smallest values add compares one by
+// one before it searches the rest by halves.
+const scanValues = 8
+
 // add adds count to value v's bucket, inserting the bucket in order.
+// A switch-cost histogram usually holds a handful of values, which a
+// short scan finds sooner than a binary search; a longer one (a
+// 256-window NS file can switch at 256 distinct costs) is searched by
+// halves past its first scanValues values, so the worst case stays
+// logarithmic.
 func (d *Distribution) add(v, count uint64) {
-	i, found := slices.BinarySearch(d.values, v)
-	if !found {
+	i, n := 0, min(len(d.values), scanValues)
+	for i < n && d.values[i] < v {
+		i++
+	}
+	if i == scanValues {
+		j, _ := slices.BinarySearch(d.values[scanValues:], v)
+		i += j
+	}
+	if found := i < len(d.values) && d.values[i] == v; !found {
 		d.values = slices.Insert(d.values, i, v)
 		d.counts = slices.Insert(d.counts, i, 0)
 	}

@@ -128,3 +128,36 @@ func TestTrapProbabilityAndAvgSwitch(t *testing.T) {
 		t.Error("zero counters should report 0 rates")
 	}
 }
+
+// TestDistributionMatchesCountModel checks the histogram's buckets
+// against a map of counts: for any samples, in any order, Values
+// returns every distinct sample once, ascending, with its count. Up to
+// 300 distinct values take add past its linear scan into the binary
+// search, and few take it only through the scan.
+func TestDistributionMatchesCountModel(t *testing.T) {
+	prop := func(raw []uint16, few bool) bool {
+		var d Distribution
+		model := map[uint64]uint64{}
+		for _, r := range raw {
+			v := uint64(r % 300)
+			if few {
+				v %= scanValues
+			}
+			d.Observe(v)
+			model[v]++
+		}
+		values, counts := d.Values()
+		if len(values) != len(model) || d.N() != uint64(len(raw)) {
+			return false
+		}
+		for i, v := range values {
+			if i > 0 && values[i-1] >= v || counts[i] != model[v] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
